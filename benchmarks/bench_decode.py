@@ -1,13 +1,11 @@
-"""Decode-throughput benchmark: legacy, batched, fused-attention, fp16 KV.
+"""Decode-throughput benchmark: batched, fused-attention, fp16 KV.
 
-Measures the auto-regressive hot loop across the decode-path generations and
-writes ``BENCH_decode.json``:
+Measures the auto-regressive hot loop across the decode paths and writes
+``BENCH_decode.json``:
 
-* ``legacy`` — the pre-contiguous seed baseline: a full KV cache backed by a
-  Python list of per-token arrays, re-stacked with ``np.stack`` on every
-  fetch (re-implemented here so the regression is measurable forever);
-* ``policies`` — contiguous-cache policies, one sequence at a time and via
-  :meth:`DecoderLM.prefill_batch` / :meth:`DecoderLM.decode_step_batch`;
+* ``policies`` — contiguous-cache policies through
+  :meth:`DecoderLM.prefill_batch` / :meth:`DecoderLM.decode_step_batch`
+  with per-sequence attention;
 * ``fused`` — the fused grouped-attention decode path
   (``decode_step_batch(..., fused=True)``, one gathered length-masked BLAS
   attention call per layer per group) against the per-sequence batched
@@ -19,8 +17,7 @@ writes ``BENCH_decode.json``:
   (exactly 2x, guarded) and the worst absolute logit delta of a greedy
   decode vs the fp32 paged run (reported, not guarded);
 * ``eval`` — teacher-forced forced-decode scoring (the
-  :func:`repro.eval.harness.evaluate_dataset` regime), legacy sequential
-  harness vs the batched path;
+  :func:`repro.eval.harness.evaluate_dataset` regime) on the batched path;
 * ``engine`` — the full serving engine on a decode-heavy wave workload
   (:func:`repro.workloads.decode_heavy_requests`) with the fused path on
   vs off, plus a decoded-token identity check between the two (guarded at
@@ -45,7 +42,6 @@ import numpy as np
 from _common import bench_main, identity_fraction, report_tokens
 
 from repro.core.kv_pool import KVPagePool
-from repro.llm.cache import LayerKVCache
 from repro.llm.config import tiny_config
 from repro.llm.functional import log_softmax
 from repro.llm.model import DecoderLM
@@ -54,80 +50,10 @@ from repro.serve import ServingEngine
 from repro.workloads import decode_heavy_requests
 
 
-class _LegacyListKVCache(LayerKVCache):
-    """The seed repo's list-backed full cache (pre-PR reference for speedups)."""
-
-    def __init__(self, n_heads: int, head_dim: int, d_model: int) -> None:
-        super().__init__(n_heads, head_dim, d_model)
-        self._keys: list[np.ndarray] = []
-        self._values: list[np.ndarray] = []
-
-    def prefill(self, keys, values, inputs, attn_probs):
-        del inputs, attn_probs
-        for n in range(keys.shape[1]):
-            self._keys.append(np.array(keys[:, n, :], dtype=np.float32))
-            self._values.append(np.array(values[:, n, :], dtype=np.float32))
-
-    def append(self, key, value, x, position):
-        del x, position
-        self._keys.append(np.array(key, dtype=np.float32))
-        self._values.append(np.array(value, dtype=np.float32))
-
-    def fetch(self):
-        keys = np.stack(self._keys, axis=1)
-        values = np.stack(self._values, axis=1)
-        valid = np.ones((self.n_heads, keys.shape[1]), dtype=bool)
-        return keys, values, valid
-
-    def observe_attention(self, probs):
-        del probs
-
-    @property
-    def num_tokens(self):
-        return len(self._keys)
-
-    def stored_bytes(self, bits_per_element: int = 16) -> int:
-        elements = 2 * len(self._keys) * self.n_heads * self.head_dim
-        return elements * bits_per_element // 8
-
-
-def _legacy_factory(layer_index, n_heads, head_dim, d_model, recompute_fn):
-    del layer_index, recompute_fn
-    return _LegacyListKVCache(n_heads, head_dim, d_model)
-
-
 def _bench_model(prompt_len: int, decode_len: int) -> DecoderLM:
     config = tiny_config("bench-decode", n_layers=4, d_model=64, n_heads=4, d_ff=128,
                          vocab_size=128, max_seq_len=prompt_len + decode_len + 8)
     return DecoderLM(config, seed=0)
-
-
-def _run_sequential(model, prompts, decode_len, factory,
-                    continuations=None) -> tuple[float, float]:
-    """(prefill_s, decode_s) for one pass over ``prompts``, one sequence at a time.
-
-    With ``continuations`` the decode phase scores those tokens (teacher
-    forcing, the eval-harness regime); otherwise it feeds back greedy picks.
-    """
-    prefill_s = decode_s = 0.0
-    for index, prompt in enumerate(prompts):
-        caches = model.make_caches(factory)
-        start = time.perf_counter()
-        logits = model.prefill(prompt, caches)
-        prefill_s += time.perf_counter() - start
-        position = len(prompt)
-        start = time.perf_counter()
-        for step in range(decode_len):
-            if continuations is not None:
-                token = continuations[index][step]
-            else:
-                token = int(np.argmax(log_softmax(logits)))
-            if step == decode_len - 1:
-                break
-            logits = model.decode_step(token, position, caches)
-            position += 1
-        decode_s += time.perf_counter() - start
-    return prefill_s, decode_s
 
 
 def _run_batched(model, prompts, decode_len, factory, continuations=None,
@@ -238,29 +164,13 @@ def run_benchmark(quick: bool, repeats: int, seed: int) -> dict:
         "policies": {},
     }
 
-    # -- legacy list-backed baseline (sequential) -----------------------
-    legacy = _best_rates(lambda: _run_sequential(model, prompts, decode_len, _legacy_factory),
-                         repeats, n_prefill, n_decode)
-    results["legacy"] = {"list_full_sequential": legacy}
-    _show("legacy list-backed full cache (seq)", legacy)
-
-    # -- cache policies: sequential and batched (per-sequence attention) --
+    # -- cache policies: batched, per-sequence attention -----------------
     for spec in policies:
         factory = resolve("cache", spec)
-        sequential = _best_rates(
-            lambda: _run_sequential(model, prompts, decode_len, factory),
-            repeats, n_prefill, n_decode)
         batched = _best_rates(
             lambda: _run_batched(model, prompts, decode_len, factory, fused=False),
             repeats, n_prefill, n_decode)
-        entry = {"sequential": sequential, "batched": batched}
-        if spec == "full":
-            entry["decode_speedup_sequential_vs_legacy"] = (
-                sequential["decode_tokens_per_s"] / legacy["decode_tokens_per_s"])
-            entry["decode_speedup_batched_vs_legacy"] = (
-                batched["decode_tokens_per_s"] / legacy["decode_tokens_per_s"])
-        results["policies"][spec] = entry
-        _show(f"{spec} (seq)", sequential)
+        results["policies"][spec] = {"batched": batched}
         _show(f"{spec} (batched B={batch}, per-seq attn)", batched)
 
     # -- fused grouped attention vs the per-sequence batched reference --
@@ -314,22 +224,11 @@ def run_benchmark(quick: bool, repeats: int, seed: int) -> dict:
           f"{drift}/{batch} greedy sequences diverged")
 
     # -- eval-harness regime: teacher-forced scoring --------------------
-    eval_legacy = _best_rates(
-        lambda: _run_sequential(model, prompts, decode_len, _legacy_factory,
-                                continuations=continuations),
-        repeats, n_prefill, n_decode)
     eval_batched = _best_rates(
         lambda: _run_batched(model, prompts, decode_len, resolve("cache", "full"),
                              continuations=continuations),
         repeats, n_prefill, n_decode)
-    results["eval"] = {
-        "legacy_sequential_harness": eval_legacy,
-        "batched": eval_batched,
-        "scored_speedup_batched_vs_legacy_harness": (
-            eval_batched["end_to_end_decode_tokens_per_s"]
-            / eval_legacy["end_to_end_decode_tokens_per_s"]),
-    }
-    _show("eval forced-decode legacy harness (seq)", eval_legacy)
+    results["eval"] = {"batched": eval_batched}
     _show(f"eval forced-decode (batched B={batch})", eval_batched)
 
     # -- full serving engine on a decode-heavy wave workload ------------
@@ -367,12 +266,6 @@ def run_benchmark(quick: bool, repeats: int, seed: int) -> dict:
           f"unfused {n_tokens / best_unfused_s:9.0f} tok/s | "
           f"speedup {best_unfused_s / best_fused_s:5.2f}x | "
           f"identical {results['engine']['fused_identical_fraction']:.2f}")
-
-    full = results["policies"].get("full")
-    if full is not None:
-        print(f"decode speedup vs pre-PR list-backed path: "
-              f"{full['decode_speedup_batched_vs_legacy']:.1f}x batched, "
-              f"{full['decode_speedup_sequential_vs_legacy']:.1f}x sequential")
     return results
 
 

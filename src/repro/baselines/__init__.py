@@ -11,15 +11,8 @@
   LLM accelerators of Figure 14 (Jetson Orin, LLM.npu, DynaX, COMET).
 """
 
-from repro.baselines.eviction import (
-    H2OCache,
-    RandomEvictionCache,
-    StreamingLLMCache,
-    h2o_cache_factory,
-    random_cache_factory,
-    streaming_llm_cache_factory,
-)
-from repro.baselines.quant_kv import QuantizedKVCache, kivi_cache_factory, quarot_cache_factory
+from repro.baselines.eviction import H2OCache, RandomEvictionCache, StreamingLLMCache
+from repro.baselines.quant_kv import QuantizedKVCache
 from repro.baselines.systems import (
     SystemConfig,
     build_aep_sram,
@@ -42,12 +35,7 @@ __all__ = [
     "StreamingLLMCache",
     "H2OCache",
     "RandomEvictionCache",
-    "streaming_llm_cache_factory",
-    "h2o_cache_factory",
-    "random_cache_factory",
     "QuantizedKVCache",
-    "kivi_cache_factory",
-    "quarot_cache_factory",
     "SystemConfig",
     "build_original_sram",
     "build_original_edram",

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.llm.cache import ContiguousKVStore, KVCacheFactory, LayerKVCache, RecomputeFn
 from repro.registry import register
-from repro.utils.deprecation import warn_deprecated
 from repro.utils.rng import derive_rng
 
 
@@ -216,27 +215,3 @@ def _build_random(budget: int = 512, sink_tokens: int = 10, recent_window: int =
                                    seed=seed + layer_index)
 
     return factory
-
-
-# -- deprecated entry points --------------------------------------------------
-def streaming_llm_cache_factory(budget: int, sink_tokens: int = 10,
-                                recent_window: int | None = None) -> KVCacheFactory:
-    """Deprecated: use ``resolve("cache", "streaming_llm:budget=...")``."""
-    warn_deprecated("streaming_llm_cache_factory",
-                    "resolve('cache', 'streaming_llm:budget=...')")
-    return _build_streaming_llm(budget=budget, sink_tokens=sink_tokens,
-                                recent_window=recent_window)
-
-
-def h2o_cache_factory(budget: int, sink_tokens: int = 10, recent_window: int = 64) -> KVCacheFactory:
-    """Deprecated: use ``resolve("cache", "h2o:budget=...")``."""
-    warn_deprecated("h2o_cache_factory", "resolve('cache', 'h2o:budget=...')")
-    return _build_h2o(budget=budget, sink_tokens=sink_tokens, recent_window=recent_window)
-
-
-def random_cache_factory(budget: int, sink_tokens: int = 10, recent_window: int = 64,
-                         seed: int = 0) -> KVCacheFactory:
-    """Deprecated: use ``resolve("cache", "random:budget=...")``."""
-    warn_deprecated("random_cache_factory", "resolve('cache', 'random:budget=...')")
-    return _build_random(budget=budget, sink_tokens=sink_tokens, recent_window=recent_window,
-                         seed=seed)

@@ -11,13 +11,13 @@ replaces them with decoder-only transformers implemented directly on NumPy:
 * :mod:`repro.llm.autodiff` -- a compact reverse-mode autodiff engine used by
   the training loop.
 * :mod:`repro.llm.model` -- parameter initialisation and the inference
-  forward pass (full-sequence and incremental decode with a pluggable KV
-  cache).
+  forwards (cache-free full sequence, ragged chunked prefill/verify and
+  batched decode with a pluggable KV cache).
 * :mod:`repro.llm.cache` -- the KV-cache interface and the full-cache
   reference implementation.
 * :mod:`repro.llm.generation` -- prefill + decode driver.
 * :mod:`repro.llm.speculate` -- speculative-decoding drafters (prompt-lookup
-  n-gram, draft model) verified by :meth:`DecoderLM.verify_chunk`.
+  n-gram, draft model) verified by :meth:`DecoderLM.verify_chunk_batch`.
 * :mod:`repro.llm.tokenizer` -- byte-level and word-level tokenizers.
 * :mod:`repro.llm.training` -- Adam training loop for the tiny models.
 """

@@ -1,4 +1,4 @@
-"""Prefill + auto-regressive decode drivers (single-sequence and batched).
+"""Prefill + auto-regressive decode drivers.
 
 This is the serving loop of Figure 1 (a) of the paper: the context is
 processed in parallel during pre-filling, then tokens are generated
@@ -8,14 +8,16 @@ policy.  The batched drivers run ``B`` independent sequences through
 with its own per-layer caches, reproducing ``B`` single-sequence runs up to
 floating-point precision (batched BLAS reductions reorder float ops, so the
 last bits of a logit can differ; the equivalence suite pins the tokens).
+The single-sequence drivers are the batched ones at ``B = 1``.
 
 Both drivers accept a ``drafter`` (a :class:`repro.llm.speculate.Drafter` or
 spec string such as ``"ngram:k=4"``): with greedy decoding and a
 rollback-capable cache (``full``/``paged``), each decode round verifies the
-drafter's proposed tokens in one :meth:`DecoderLM.verify_chunk` forward and
-emits the accepted prefix plus the first-mismatch token — token-identical to
-plain greedy decoding, but with up to ``k + 1`` tokens per forward pass.
-Caches without rollback support silently run non-speculatively.
+drafter's proposed tokens in one :meth:`DecoderLM.verify_chunk_batch`
+forward and emits the accepted prefix plus the first-mismatch token —
+token-identical to plain greedy decoding, but with up to ``k + 1`` tokens
+per forward pass.  Caches without rollback support silently run
+non-speculatively.
 """
 
 from __future__ import annotations
@@ -102,96 +104,6 @@ def _speculation_enabled(model: DecoderLM, drafter: Drafter | None,
     return True
 
 
-def _decode_speculative(model: DecoderLM, drafter: Drafter, caches: list[LayerKVCache],
-                        result: GenerationResult, logits: np.ndarray,
-                        max_new_tokens: int, eos_id: int | None,
-                        on_token: OnGenToken = _noop) -> None:
-    """Greedy speculative decode loop for one sequence (mutates ``result``).
-
-    Each round verifies ``[next_input, *proposals]`` in one forward, emits
-    the accepted proposal prefix plus the first-mismatch/bonus token, and
-    rolls the caches back over rejected positions.
-    """
-    session = drafter.session()
-    prompt, generated = result.prompt_tokens, result.generated_tokens
-    logp = log_softmax(logits)
-    token = int(np.argmax(logp))
-    generated.append(token)
-    result.logprobs.append(float(logp[token]))
-    on_token(token, len(generated) - 1)
-    position = len(prompt)  # == caches' token count == position of generated[-1]
-    while len(generated) < max_new_tokens and (eos_id is None or generated[-1] != eos_id):
-        remaining = max_new_tokens - len(generated)
-        proposals = session.propose(prompt + generated, max_tokens=remaining - 1)
-        chunk = [generated[-1], *proposals]
-        chunk_logits = model.verify_chunk(chunk, position, caches)
-        accepted, emitted = accept_greedy(chunk_logits, proposals)
-        result.spec_proposed += len(proposals)
-        result.spec_accepted += accepted
-        for cache in caches:
-            cache.truncate(position + 1 + accepted)
-        position += 1 + accepted
-        logp_rows = log_softmax(chunk_logits[:len(emitted)], axis=-1)
-        for row, tok in enumerate(emitted):
-            generated.append(tok)
-            result.logprobs.append(float(logp_rows[row, tok]))
-            on_token(tok, len(generated) - 1)
-            if eos_id is not None and tok == eos_id:
-                break
-    # Cache-state parity with the plain loop, which never feeds the final
-    # token: drop any verified-but-unemitted tail (e.g. after a mid-chunk EOS).
-    for cache in caches:
-        cache.truncate(len(prompt) + len(generated) - 1)
-
-
-def generate(model: DecoderLM, prompt_tokens: Sequence[int], max_new_tokens: int,
-             cache_factory: KVCacheFactory | None = None, temperature: float = 0.0,
-             eos_id: int | None = None, seed: int = 0,
-             drafter: Drafter | str | None = None,
-             on_token: OnGenToken | None = None) -> GenerationResult:
-    """Generate ``max_new_tokens`` continuation tokens for ``prompt_tokens``.
-
-    ``cache_factory`` selects the KV-cache policy (full cache by default);
-    ``temperature`` 0 means greedy decoding.  ``drafter`` (a spec string such
-    as ``"ngram:k=4"`` or a built :class:`~repro.llm.speculate.Drafter`)
-    enables speculative decoding: token-identical to greedy decoding, but
-    emitting up to ``k + 1`` tokens per forward pass when proposals are
-    accepted.  Requires a rollback-capable cache (``full``/``paged``); other
-    caches run non-speculatively.  ``on_token`` streams each generated token
-    as ``(token, index)`` the moment it is produced (the serving engine's
-    :class:`~repro.serve.executor.TokenEvent` hook reduced to one sequence).
-    """
-    if max_new_tokens < 0:
-        raise ValueError("max_new_tokens must be non-negative")
-    prompt_tokens = list(int(t) for t in prompt_tokens)
-    if not prompt_tokens:
-        raise ValueError("prompt_tokens must be non-empty")
-    drafter = resolve_drafter(drafter)
-    rng = derive_rng(seed, "generate")
-    caches = model.make_caches(cache_factory)
-    speculative = _speculation_enabled(model, drafter, caches, temperature)
-    logits = model.prefill(prompt_tokens, caches)
-    result = GenerationResult(prompt_tokens=prompt_tokens, generated_tokens=[], caches=caches)
-    emit = on_token or _noop
-    if speculative and max_new_tokens > 0:
-        _decode_speculative(model, drafter, caches, result, logits,
-                            max_new_tokens, eos_id, on_token=emit)
-        return result
-    position = len(prompt_tokens)
-    for step in range(max_new_tokens):
-        token, logp = _select_from_logprobs(log_softmax(logits), temperature, rng)
-        result.generated_tokens.append(token)
-        result.logprobs.append(logp)
-        emit(token, len(result.generated_tokens) - 1)
-        # No decode after the final token: its logits would be discarded (and
-        # generate_batch stops at the same point, keeping cache states aligned).
-        if step == max_new_tokens - 1 or (eos_id is not None and token == eos_id):
-            break
-        logits = model.decode_step(token, position, caches)
-        position += 1
-    return result
-
-
 def _decode_batch_speculative(model: DecoderLM, drafter: Drafter,
                               caches_batch: Sequence[list[LayerKVCache]],
                               results: list[GenerationResult], logits: np.ndarray,
@@ -202,7 +114,7 @@ def _decode_batch_speculative(model: DecoderLM, drafter: Drafter,
     Every active sequence contributes its chunk (``[next_input, *proposals]``,
     possibly proposal-free) to one :meth:`DecoderLM.verify_chunk_batch` call;
     acceptance, rollback and EOS dropout are handled per sequence, exactly as
-    ``B`` independent :func:`_decode_speculative` loops would.
+    ``B`` independent single-sequence runs would.
     """
     batch = len(results)
     sessions = [drafter.session() for _ in range(batch)]
@@ -262,13 +174,14 @@ def generate_batch(model: DecoderLM, prompts: Sequence[Sequence[int]], max_new_t
     """Generate continuations for ``B`` prompts with batched forward passes.
 
     Each sequence gets its own per-layer caches (one :meth:`make_caches` call
-    per prompt) and its own generation RNG derived exactly as
-    :func:`generate` derives it, so every sequence matches a separate
-    :func:`generate` call to floating-point precision.  Sequences that emit
-    ``eos_id`` drop out of the running batch; the rest continue.  ``drafter``
-    enables batched speculative decoding (see :func:`generate`): every
-    sequence's proposal chunk is verified in one batched forward per round.
-    ``on_token`` streams each generated token as ``(seq_index, token, index)``.
+    per prompt) and its own generation RNG derived from ``seed`` alone, so
+    every sequence matches a separate :func:`generate` call to
+    floating-point precision.  Sequences that emit ``eos_id`` drop out of
+    the running batch; the rest continue.  ``drafter`` enables batched
+    speculative decoding (see :func:`generate`): every sequence's proposal
+    chunk is verified in one batched forward per round.  ``on_token``
+    streams each generated token as ``(seq_index, token, index)``.  With
+    ``max_new_tokens=0`` nothing runs: the results carry empty caches.
     """
     if max_new_tokens < 0:
         raise ValueError("max_new_tokens must be non-negative")
@@ -315,6 +228,30 @@ def generate_batch(model: DecoderLM, prompts: Sequence[Sequence[int]], max_new_t
     return results
 
 
+def generate(model: DecoderLM, prompt_tokens: Sequence[int], max_new_tokens: int,
+             cache_factory: KVCacheFactory | None = None, temperature: float = 0.0,
+             eos_id: int | None = None, seed: int = 0,
+             drafter: Drafter | str | None = None,
+             on_token: OnGenToken | None = None) -> GenerationResult:
+    """Generate ``max_new_tokens`` continuation tokens for ``prompt_tokens``.
+
+    ``cache_factory`` selects the KV-cache policy (full cache by default);
+    ``temperature`` 0 means greedy decoding.  ``drafter`` (a spec string such
+    as ``"ngram:k=4"`` or a built :class:`~repro.llm.speculate.Drafter`)
+    enables speculative decoding: token-identical to greedy decoding, but
+    emitting up to ``k + 1`` tokens per forward pass when proposals are
+    accepted.  Requires a rollback-capable cache (``full``/``paged``); other
+    caches run non-speculatively.  ``on_token`` streams each generated token
+    as ``(token, index)`` the moment it is produced (the serving engine's
+    :class:`~repro.serve.executor.TokenEvent` hook reduced to one sequence).
+    This is :func:`generate_batch` at ``B = 1``; in particular
+    ``max_new_tokens=0`` returns at once, without prefilling the caches.
+    """
+    emit = None if on_token is None else (lambda _seq, token, index: on_token(token, index))
+    return generate_batch(model, [prompt_tokens], max_new_tokens, cache_factory,
+                          temperature, eos_id, seed, drafter, emit)[0]
+
+
 def forced_decode_logprobs(model: DecoderLM, prompt_tokens: Sequence[int],
                            continuation_tokens: Sequence[int],
                            cache_factory: KVCacheFactory | None = None) -> list[float]:
@@ -323,24 +260,11 @@ def forced_decode_logprobs(model: DecoderLM, prompt_tokens: Sequence[int],
     This is the primitive behind the cache-aware perplexity evaluation: the
     prompt is pre-filled, then each continuation token is scored with the
     logits produced while the *policy-managed* cache serves attention, and fed
-    back as the next input (teacher forcing).
+    back as the next input (teacher forcing).  It is
+    :func:`forced_decode_logprobs_batch` at ``B = 1``.
     """
-    prompt_tokens = list(int(t) for t in prompt_tokens)
-    continuation_tokens = list(int(t) for t in continuation_tokens)
-    if not prompt_tokens or not continuation_tokens:
-        raise ValueError("prompt and continuation must be non-empty")
-    caches = model.make_caches(cache_factory)
-    logits = model.prefill(prompt_tokens, caches)
-    logprobs: list[float] = []
-    position = len(prompt_tokens)
-    previous = None
-    for token in continuation_tokens:
-        if previous is not None:
-            logits = model.decode_step(previous, position, caches)
-            position += 1
-        logprobs.append(float(log_softmax(logits)[token]))
-        previous = token
-    return logprobs
+    return forced_decode_logprobs_batch(model, [prompt_tokens], [continuation_tokens],
+                                        cache_factory)[0]
 
 
 def forced_decode_logprobs_batch(model: DecoderLM, prompts: Sequence[Sequence[int]],

@@ -1,14 +1,20 @@
 """Decoder-only transformer language model on NumPy.
 
 The model owns a flat parameter dictionary (name -> ``np.ndarray``) and
-provides two inference paths:
+has three forwards, the only code that loops over the layers:
 
 * :meth:`DecoderLM.forward_full` -- full-sequence teacher-forced forward pass
-  (used for training-data perplexity and as a reference for testing the
-  incremental path);
-* :meth:`DecoderLM.prefill` / :meth:`DecoderLM.decode_step` -- the
-  prefill + auto-regressive decode path with a pluggable per-layer KV cache,
-  which is where the paper's policies plug in.
+  without a cache (used for training-data perplexity and as the reference
+  oracle for the cached paths);
+* :meth:`DecoderLM._forward_chunks` -- one ragged chunk forward over ``B``
+  sequences with pluggable per-layer KV caches, behind the public
+  :meth:`~DecoderLM.prefill_batch`, :meth:`~DecoderLM.prefill_chunk` and
+  :meth:`~DecoderLM.verify_chunk_batch`; a prompt's first chunk hands its
+  attention probabilities to the cache, which is where the paper's AERP
+  importance scores are seeded;
+* :meth:`DecoderLM.decode_step_batch` -- one auto-regressive decode step
+  for ``B`` sequences, fused grouped attention where the cache layouts
+  allow it and a per-sequence path (read, score, evict) otherwise.
 
 Only configurations without grouped-query attention are instantiated
 (``n_kv_heads is None``); the full-size GQA configs are used purely for shape
@@ -85,8 +91,8 @@ class DecoderLM:
         if config.n_kv_heads is not None:
             raise ValueError("DecoderLM does not instantiate grouped-query configurations")
         self.config = config
-        # Reusable scratch buffers for the batched hot paths (padded token
-        # blocks, context accumulators, fused-attention gather workspaces):
+        # Reusable scratch buffers for the batched hot paths (context
+        # accumulators, fused-attention gather workspaces):
         # steady-state decode steps perform zero scratch allocations.
         self._ws = StepWorkspace()
         # Persistent fused-decode group buffers, keyed by
@@ -262,7 +268,7 @@ class DecoderLM:
         return logits[0] if squeeze else logits
 
     # ------------------------------------------------------------------
-    # Prefill + decode path with pluggable KV caches
+    # Chunked prefill + speculative verify with pluggable KV caches
     # ------------------------------------------------------------------
     def make_caches(self, factory: KVCacheFactory | None = None) -> list[LayerKVCache]:
         """Build one cache per layer using ``factory`` (full cache by default)."""
@@ -272,37 +278,6 @@ class DecoderLM:
                     self.recompute_fn(layer))
             for layer in range(self.config.n_layers)
         ]
-
-    def prefill(self, tokens: Sequence[int], caches: list[LayerKVCache]) -> np.ndarray:
-        """Process the context tokens in parallel, filling the caches.
-
-        Returns the logits of the last context position (shape ``[vocab]``).
-        """
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1 or tokens.size == 0:
-            raise ValueError("prefill expects a non-empty 1-D token sequence")
-        seq_len = tokens.shape[0]
-        hidden = self._embed(tokens[None, :])[0]  # [T, C]
-        positions = seq_len  # int form: RoPE tables are sliced, not gathered
-        mask = causal_mask(seq_len)
-        scale = 1.0 / np.sqrt(self.config.head_dim)
-        for layer in range(self.config.n_layers):
-            prefix = f"layers.{layer}"
-            normed = self._norm(hidden, f"{prefix}.attn_norm")  # [T, C]
-            queries = self._split_heads(normed @ self.params[f"{prefix}.wq"])  # [H, T, d]
-            if self.config.positional == "rope":
-                queries = apply_rope(queries, positions, self._rope_cos, self._rope_sin)
-            keys, values = self._project_kv(normed, layer, positions)
-            scores = queries @ keys.swapaxes(-1, -2) * scale + mask  # [H, T, T]
-            probs = softmax(scores, axis=-1)  # [H, T, T]
-            caches[layer].prefill(keys, values, normed, probs)
-            context = probs @ values  # [H, T, d]
-            context = np.moveaxis(context, 0, -2).reshape(seq_len, self.config.d_model)
-            hidden = hidden + context @ self.params[f"{prefix}.wo"]
-            normed = self._norm(hidden, f"{prefix}.mlp_norm")
-            hidden = hidden + self._mlp(normed, layer)
-        hidden = self._norm(hidden, "final_norm")
-        return self._lm_head(hidden[-1])
 
     def _attend_chunk(self, cache: LayerKVCache, queries: np.ndarray,
                       keys_new: np.ndarray, values_new: np.ndarray,
@@ -317,131 +292,71 @@ class DecoderLM:
         """
         keys_old, values_old, valid = cache.fetch()  # [H, n, d] views
         n_old = keys_old.shape[1]
+        scores_old = queries @ keys_old.swapaxes(-1, -2) * scale  # [H, c, n]
+        if not valid.all():
+            scores_old = np.where(valid[:, None, :], scores_old, -np.inf)
         scores_new = queries @ keys_new.swapaxes(-1, -2) * scale + mask  # [H, c, c]
-        if n_old:
-            scores_old = queries @ keys_old.swapaxes(-1, -2) * scale  # [H, c, n]
-            if not valid.all():
-                scores_old = np.where(valid[:, None, :], scores_old, -np.inf)
-            probs = softmax(np.concatenate([scores_old, scores_new], axis=-1))
-            return probs[:, :, :n_old] @ values_old + probs[:, :, n_old:] @ values_new
-        return softmax(scores_new, axis=-1) @ values_new  # [H, c, d]
+        probs = softmax(np.concatenate([scores_old, scores_new], axis=-1))
+        return probs[:, :, :n_old] @ values_old + probs[:, :, n_old:] @ values_new
 
-    def prefill_chunk(self, tokens: Sequence[int], position: int,
-                      caches: list[LayerKVCache]) -> np.ndarray:
-        """Prefill a *chunk* of context starting at absolute ``position``.
+    def _forward_chunks(self, token_chunks: Sequence[Sequence[int]],
+                        positions: Sequence[int],
+                        caches_batch: Sequence[list[LayerKVCache]],
+                        all_logits: bool) -> "np.ndarray | list[np.ndarray]":
+        """One ragged chunk forward for ``B`` sequences — every cached
+        prefill and speculative-verify call runs through here.
 
-        The chunk's queries attend causally to everything already in the
-        caches (positions ``0..position-1``) plus the chunk itself, exactly
-        as the corresponding rows of a whole-prompt :meth:`prefill` would —
-        this is what lets the serving engine split a long prompt into
-        token-budgeted pieces (chunked prefill) or resume after a shared
-        prefix restored from the radix cache.  Requires caches that hold
-        exactly ``position`` tokens and support chunked prefill
-        (``full``/``paged``).
+        ``token_chunks[b]`` is sequence ``b``'s chunk starting at absolute
+        position ``positions[b]``; ``caches_batch[b]`` its per-layer caches.
+        The dense projections (QKV, output, MLP, LM head) run once over the
+        concatenated, unpadded ``[N, C]`` chunk tokens, so ragged lengths
+        cost no padding work; attention runs per sequence:
 
-        Returns the logits of the chunk's last position (shape ``[vocab]``).
-        """
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1 or tokens.size == 0:
-            raise ValueError("prefill_chunk expects a non-empty 1-D token sequence")
-        if not all(cache.supports_chunked_prefill for cache in caches):
-            raise ValueError("prefill_chunk requires caches with chunked-prefill "
-                             "support (e.g. 'full' or 'paged')")
-        if caches and caches[0].num_tokens != position:
-            raise ValueError(
-                f"caches hold {caches[0].num_tokens} tokens but the chunk starts "
-                f"at position {position}")
-        chunk = tokens.shape[0]
-        positions = np.arange(position, position + chunk)
-        hidden = self.params["embed.weight"][tokens].astype(np.float32)  # [c, C]
-        if self.config.positional == "learned":
-            hidden = hidden + self.params["pos_embed.weight"][positions]
-        mask = causal_mask(chunk)
-        scale = 1.0 / np.sqrt(self.config.head_dim)
-        for layer in range(self.config.n_layers):
-            prefix = f"layers.{layer}"
-            normed = self._norm(hidden, f"{prefix}.attn_norm")  # [c, C]
-            queries = self._split_heads(normed @ self.params[f"{prefix}.wq"])  # [H, c, d]
-            if self.config.positional == "rope":
-                queries = apply_rope(queries, positions, self._rope_cos, self._rope_sin)
-            keys_new, values_new = self._project_kv(normed, layer, positions)
-            context = self._attend_chunk(caches[layer], queries, keys_new, values_new,
-                                         mask, scale)
-            caches[layer].extend_chunk(keys_new, values_new, normed, positions)
-            context = np.moveaxis(context, 0, -2).reshape(chunk, self.config.d_model)
-            hidden = hidden + context @ self.params[f"{prefix}.wo"]
-            normed = self._norm(hidden, f"{prefix}.mlp_norm")
-            hidden = hidden + self._mlp(normed, layer)
-        hidden = self._norm(hidden, "final_norm")
-        return self._lm_head(hidden[-1])
+        * a row at position 0 needs empty caches and loads its chunk through
+          :meth:`LayerKVCache.prefill` together with the chunk's causal
+          attention probabilities — the prompt-attention signal that AERP
+          and H2O importance scoring seed from;
+        * a row at ``position > 0`` needs caches with chunked-prefill
+          support (``full``/``paged``) holding exactly ``position`` tokens:
+          its queries attend to the cached prefix plus the chunk
+          (:meth:`_attend_chunk`) and the caches grow by ``extend_chunk``.
 
-    # ------------------------------------------------------------------
-    # Speculative verification (single-sequence and batched)
-    # ------------------------------------------------------------------
-    def verify_chunk(self, tokens: Sequence[int], position: int,
-                     caches: list[LayerKVCache]) -> np.ndarray:
-        """Score a chunk of proposed tokens in ONE forward pass.
-
-        ``tokens`` is the next input token followed by the drafter's proposed
-        continuation, starting at absolute ``position`` (which must equal the
-        caches' current token count).  Reuses the :meth:`prefill_chunk`
-        attention-over-cached-prefix machinery, but returns the logits of
-        **every** chunk position (shape ``[len(tokens), vocab]``): row ``i``
-        is what sequential :meth:`decode_step` calls feeding
-        ``tokens[: i + 1]`` would produce, so the caller can find the longest
-        accepted proposal prefix and the first-mismatch token.  The caches
-        are extended with the whole chunk; the caller rolls rejected
-        positions back via :meth:`LayerKVCache.truncate`.
-        """
-        return self.verify_chunk_batch([tokens], [position], [caches])[0]
-
-    def verify_chunk_batch(self, token_chunks: Sequence[Sequence[int]],
-                           positions: Sequence[int],
-                           caches_batch: Sequence[list[LayerKVCache]],
-                           ) -> list[np.ndarray]:
-        """Verify ``B`` ragged speculation chunks in one batched forward.
-
-        ``token_chunks[b]`` is sequence ``b``'s chunk (next input token +
-        proposed tokens) starting at absolute position ``positions[b]``;
-        ``caches_batch[b]`` its per-layer caches, which must hold exactly
-        ``positions[b]`` tokens and support chunked prefill.  As in
-        :meth:`decode_step_batch`, the dense projections (QKV, output, MLP,
-        LM head) run batched over the concatenated chunks while attention
-        reads each sequence's cache views, so ragged chunk lengths cost no
-        padding work.  Returns one ``[len(chunk_b), vocab]`` logits array per
-        sequence (see :meth:`verify_chunk` for row semantics); every cache is
-        extended with its full chunk.
+        Either way each row computes what a whole-sequence
+        :meth:`forward_full` computes at those positions.  With
+        ``all_logits`` the result is one ``[len(chunk_b), vocab]`` array per
+        sequence (verification: row ``i`` scores the token after
+        ``chunk_b[: i + 1]``); otherwise only each chunk's last position
+        reaches the LM head and the result is ``[B, vocab]`` (prefill).
         """
         if len(token_chunks) == 0:
-            raise ValueError("verify_chunk_batch expects at least one chunk")
+            raise ValueError("expected at least one token chunk")
         if not len(token_chunks) == len(positions) == len(caches_batch):
-            raise ValueError("token_chunks, positions and caches_batch must have "
+            raise ValueError("token chunks, positions and caches_batch must have "
                              "equal length")
         chunks = [np.asarray(chunk, dtype=np.int64) for chunk in token_chunks]
-        for chunk in chunks:
+        positions = [int(position) for position in positions]
+        for b, (chunk, position, caches) in enumerate(zip(chunks, positions, caches_batch)):
             if chunk.ndim != 1 or chunk.size == 0:
-                raise ValueError("verify_chunk_batch expects non-empty 1-D chunks")
-        for b, caches in enumerate(caches_batch):
-            if not all(cache.supports_chunked_prefill for cache in caches):
-                raise ValueError("verify_chunk requires caches with chunked-prefill "
-                                 "support (e.g. 'full' or 'paged')")
-            if caches and caches[0].num_tokens != positions[b]:
+                raise ValueError("token chunks must be non-empty 1-D sequences")
+            if position != 0 and not all(c.supports_chunked_prefill for c in caches):
                 raise ValueError(
-                    f"sequence {b}: caches hold {caches[0].num_tokens} tokens but "
-                    f"the chunk starts at position {positions[b]}")
+                    f"sequence {b}: a chunk at position {position} needs caches with "
+                    "chunked-prefill support (e.g. 'full' or 'paged')")
+            held = caches[0].num_tokens if caches else 0
+            if held != position:
+                raise ValueError(f"sequence {b}: caches hold {held} tokens but the "
+                                 f"chunk starts at position {position}")
         lengths = [chunk.size for chunk in chunks]
         bounds = np.cumsum([0] + lengths)
         slices = [slice(int(bounds[b]), int(bounds[b + 1])) for b in range(len(chunks))]
-        flat_tokens = np.concatenate(chunks)  # [N]
         flat_pos = np.concatenate([np.arange(p, p + n, dtype=np.int64)
                                    for p, n in zip(positions, lengths)])
-        pos_blocks = [flat_pos[sl] for sl in slices]
-        hidden = self.params["embed.weight"][flat_tokens].astype(np.float32)  # [N, C]
+        hidden = self.params["embed.weight"][np.concatenate(chunks)].astype(np.float32)
         if self.config.positional == "learned":
-            hidden = hidden + self.params["pos_embed.weight"][flat_pos]
+            hidden = hidden + self.params["pos_embed.weight"][flat_pos]  # [N, C]
         masks = [causal_mask(n) for n in lengths]
         scale = 1.0 / np.sqrt(self.config.head_dim)
-        total = int(bounds[-1])
+        d_model = self.config.d_model
         for layer in range(self.config.n_layers):
             prefix = f"layers.{layer}"
             normed = self._norm(hidden, f"{prefix}.attn_norm")  # [N, C]
@@ -449,123 +364,78 @@ class DecoderLM:
             if self.config.positional == "rope":
                 queries = apply_rope(queries, flat_pos, self._rope_cos, self._rope_sin)
             keys_new, values_new = self._project_kv(normed, layer, flat_pos)
-            context = self._ws.get("verify.context", (total, self.config.d_model))
+            context = self._ws.get("chunk.context", (int(bounds[-1]), d_model))
             for b, sl in enumerate(slices):
                 cache = caches_batch[b][layer]
-                ctx = self._attend_chunk(cache, queries[:, sl], keys_new[:, sl],
-                                         values_new[:, sl], masks[b], scale)
-                cache.extend_chunk(keys_new[:, sl], values_new[:, sl], normed[sl],
-                                   pos_blocks[b])
-                context[sl] = np.moveaxis(ctx, 0, -2).reshape(lengths[b],
-                                                              self.config.d_model)
+                q_b, k_b, v_b = queries[:, sl], keys_new[:, sl], values_new[:, sl]
+                if positions[b] == 0:
+                    probs = softmax(q_b @ k_b.swapaxes(-1, -2) * scale + masks[b], axis=-1)
+                    cache.prefill(k_b, v_b, normed[sl], probs)
+                    ctx = probs @ v_b  # [H, n, d]
+                else:
+                    ctx = self._attend_chunk(cache, q_b, k_b, v_b, masks[b], scale)
+                    cache.extend_chunk(k_b, v_b, normed[sl], flat_pos[sl])
+                context[sl] = np.moveaxis(ctx, 0, -2).reshape(lengths[b], d_model)
             hidden = hidden + context @ self.params[f"{prefix}.wo"]
             normed = self._norm(hidden, f"{prefix}.mlp_norm")
             hidden = hidden + self._mlp(normed, layer)
-        hidden = self._norm(hidden, "final_norm")
-        logits = self._lm_head(hidden)  # [N, vocab]
-        return [logits[sl] for sl in slices]
+        if not all_logits:
+            hidden = hidden[bounds[1:] - 1]  # each chunk's last position, [B, C]
+        logits = self._lm_head(self._norm(hidden, "final_norm"))
+        return [logits[sl] for sl in slices] if all_logits else logits
 
-    def decode_step(self, token: int, position: int, caches: list[LayerKVCache]) -> np.ndarray:
-        """Decode one token at absolute ``position`` using the caches.
-
-        Returns the next-token logits (shape ``[vocab]``).
-        """
-        hidden = self.params["embed.weight"][token].astype(np.float32)
-        if self.config.positional == "learned":
-            hidden = hidden + self.params["pos_embed.weight"][position]
-        scale = 1.0 / np.sqrt(self.config.head_dim)
-        position_arr = np.array([position])
-        for layer in range(self.config.n_layers):
-            prefix = f"layers.{layer}"
-            normed = self._norm(hidden, f"{prefix}.attn_norm")  # [C]
-            d_model = self.config.d_model
-            qkv = normed[None, :] @ self._qkv_weight(layer)  # [1, 3C], one GEMM
-            query = self._split_heads(qkv[:, :d_model])  # [H, 1, d]
-            keys_new = self._split_heads(qkv[:, d_model:2 * d_model])
-            values_new = self._split_heads(qkv[:, 2 * d_model:])
-            if self.config.positional == "rope":
-                query = apply_rope(query, position_arr, self._rope_cos, self._rope_sin)
-                keys_new = apply_rope(keys_new, position_arr, self._rope_cos, self._rope_sin)
-            query = query[:, 0, :]  # [H, d]
-            caches[layer].append(keys_new[:, 0, :], values_new[:, 0, :], normed, position)
-            keys, values, valid = caches[layer].fetch()
-            scores = (keys @ query[:, :, None])[:, :, 0] * scale  # [H, n]
-            if not valid.all():
-                scores = np.where(valid, scores, -np.inf)
-            probs = softmax(scores, axis=-1)
-            caches[layer].observe_attention(probs)
-            context = (probs[:, None, :] @ values)[:, 0, :].reshape(self.config.d_model)
-            hidden = hidden + context @ self.params[f"{prefix}.wo"]
-            normed = self._norm(hidden, f"{prefix}.mlp_norm")
-            hidden = hidden + self._mlp(normed, layer)
-        for cache in caches:
-            cache.end_step()
-        hidden = self._norm(hidden, "final_norm")
-        return self._lm_head(hidden)
-
-    # ------------------------------------------------------------------
-    # Batched prefill + decode (ragged sequences, per-sequence caches)
-    # ------------------------------------------------------------------
     def prefill_batch(self, token_seqs: Sequence[Sequence[int]],
                       caches_batch: Sequence[list[LayerKVCache]]) -> np.ndarray:
-        """Prefill ``B`` ragged sequences in one batched forward pass.
+        """Prefill ``B`` ragged prompts into empty caches in one forward.
 
-        ``token_seqs`` holds per-sequence prompts (possibly different lengths);
-        ``caches_batch[b]`` is sequence ``b``'s per-layer cache list (as built
-        by :meth:`make_caches`, one call per sequence).  Sequences are
-        right-padded to the longest prompt for the dense projections; the
-        attention block runs per sequence on the unpadded ``[H, t_b, d]``
-        slices (ragged lengths cost no padded ``T x T`` score work), so every
-        sequence's logits and cache contents match what the single-sequence
-        :meth:`prefill` would produce.
-
-        Returns the last real position's logits for each sequence,
-        shape ``[B, vocab]``.
+        ``caches_batch[b]`` is sequence ``b``'s per-layer cache list (as
+        built by :meth:`make_caches`, one call per sequence); every cache
+        receives its prompt through :meth:`LayerKVCache.prefill` with the
+        prompt's attention probabilities.  Caches that already hold tokens
+        are rejected (continue them with :meth:`prefill_chunk`).  Returns
+        the last position's logits per sequence, shape ``[B, vocab]``.
         """
-        if len(token_seqs) == 0:
-            raise ValueError("prefill_batch expects at least one sequence")
-        if len(token_seqs) != len(caches_batch):
-            raise ValueError("token_seqs and caches_batch must have equal length")
-        seqs = [np.asarray(seq, dtype=np.int64) for seq in token_seqs]
-        for seq in seqs:
-            if seq.ndim != 1 or seq.size == 0:
-                raise ValueError("prefill_batch expects non-empty 1-D token sequences")
-        lengths = np.array([seq.size for seq in seqs])
-        batch, seq_len = len(seqs), int(lengths.max())
-        tokens = self._ws.get("prefill.tokens", (batch, seq_len), np.int64, zero=True)
-        for b, seq in enumerate(seqs):
-            tokens[b, :seq.size] = seq
-        hidden = self._embed(tokens)  # [B, T, C]
-        positions = seq_len
-        scale = 1.0 / np.sqrt(self.config.head_dim)
-        # One reusable context buffer for every layer: padding rows are
-        # zeroed once and never written; real rows are fully overwritten on
-        # each layer, so no per-layer np.zeros is needed.
-        context = self._ws.get("prefill.context", (batch, seq_len, self.config.d_model),
-                               zero=True)
-        for layer in range(self.config.n_layers):
-            prefix = f"layers.{layer}"
-            normed = self._norm(hidden, f"{prefix}.attn_norm")  # [B, T, C]
-            queries = self._split_heads(normed @ self.params[f"{prefix}.wq"])  # [H, B, T, d]
-            if self.config.positional == "rope":
-                queries = apply_rope(queries, positions, self._rope_cos, self._rope_sin)
-            keys, values = self._project_kv(normed, layer, positions)  # [H, B, T, d]
-            for b, n in enumerate(lengths):
-                k_b = keys[:, b, :n, :]
-                v_b = values[:, b, :n, :]
-                scores = queries[:, b, :n, :] @ k_b.swapaxes(-1, -2) * scale  # [H, n, n]
-                scores = scores + causal_mask(int(n))
-                probs = softmax(scores, axis=-1)
-                caches_batch[b][layer].prefill(k_b, v_b, normed[b, :n], probs)
-                ctx = probs @ v_b  # [H, n, d]
-                context[b, :n] = np.moveaxis(ctx, 0, -2).reshape(int(n), self.config.d_model)
-            hidden = hidden + context @ self.params[f"{prefix}.wo"]
-            normed = self._norm(hidden, f"{prefix}.mlp_norm")
-            hidden = hidden + self._mlp(normed, layer)
-        hidden = self._norm(hidden, "final_norm")
-        last = hidden[np.arange(batch), lengths - 1]  # [B, C]
-        return self._lm_head(last)
+        return self._forward_chunks(token_seqs, [0] * len(token_seqs), caches_batch,
+                                    all_logits=False)
 
+    def prefill_chunk(self, tokens: Sequence[int], position: int,
+                      caches: list[LayerKVCache]) -> np.ndarray:
+        """Prefill a *chunk* of context starting at absolute ``position``.
+
+        The chunk's queries attend causally to everything already in the
+        caches (positions ``0..position-1``) plus the chunk itself, exactly
+        as the corresponding rows of a whole-prompt prefill would — this is
+        what lets the serving engine split a long prompt into
+        token-budgeted pieces (chunked prefill) or resume after a shared
+        prefix restored from the radix cache.  The caches must hold exactly
+        ``position`` tokens; at ``position > 0`` they must support chunked
+        prefill (``full``/``paged``).
+
+        Returns the logits of the chunk's last position (shape ``[vocab]``).
+        """
+        return self._forward_chunks([tokens], [position], [caches], all_logits=False)[0]
+
+    def verify_chunk_batch(self, token_chunks: Sequence[Sequence[int]],
+                           positions: Sequence[int],
+                           caches_batch: Sequence[list[LayerKVCache]],
+                           ) -> list[np.ndarray]:
+        """Score ``B`` ragged speculation chunks in one forward.
+
+        ``token_chunks[b]`` is sequence ``b``'s next input token followed by
+        the drafter's proposed continuation, starting at absolute position
+        ``positions[b]`` (its caches' token count).  Returns one
+        ``[len(chunk_b), vocab]`` logits array per sequence: row ``i`` is
+        what ``i + 1`` sequential decode steps feeding ``chunk_b[: i + 1]``
+        would produce, so the caller can find the longest accepted proposal
+        prefix and the first-mismatch token.  Every cache is extended with
+        its full chunk; the caller rolls rejected positions back via
+        :meth:`LayerKVCache.truncate`.
+        """
+        return self._forward_chunks(token_chunks, positions, caches_batch, all_logits=True)
+
+    # ------------------------------------------------------------------
+    # Batched decode (ragged sequences, per-sequence caches)
+    # ------------------------------------------------------------------
     def _fused_decode_groups(self, caches_batch: Sequence[list[LayerKVCache]],
                              ) -> tuple[list[list[int]], list[list[int]], list[int]]:
         """Partition sequence indices into fused-attention groups by layout.
@@ -856,8 +726,7 @@ class DecoderLM:
         fallback, which reads each cache's zero-copy ``fetch`` views.
         ``fused=False`` forces the fallback for everything — the pre-fusion
         reference path used by equivalence tests and benchmarks.  Either
-        way each sequence's logits match the single-sequence
-        :meth:`decode_step`.
+        way each sequence's logits match decoding it alone (``B = 1``).
 
         Returns logits of shape ``[B, vocab]``.
         """

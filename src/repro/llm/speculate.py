@@ -3,7 +3,7 @@
 Auto-regressive decode pays one full forward pass per generated token.  A
 **drafter** breaks that serial chain: it proposes up to ``k`` continuation
 tokens from a cheap source, the target model scores the whole proposal in one
-:meth:`~repro.llm.model.DecoderLM.verify_chunk` forward, and greedy
+:meth:`~repro.llm.model.DecoderLM.verify_chunk_batch` forward, and greedy
 acceptance keeps the longest proposal prefix that matches the target's own
 argmax choices — plus the *first-mismatch token*, which the verification
 logits provide for free.  With greedy decoding the emitted tokens are
@@ -200,10 +200,7 @@ class _DraftModelSession(DrafterSession):
                 cache.truncate(common)
             del self._tokens[common:]
         chunk = context[common:]
-        if common == 0:
-            logits = model.prefill(chunk, self._caches)
-        else:
-            logits = model.prefill_chunk(chunk, common, self._caches)
+        logits = model.prefill_chunk(chunk, common, self._caches)
         self._tokens.extend(chunk)
         proposals: list[int] = []
         position = len(self._tokens)
@@ -212,7 +209,7 @@ class _DraftModelSession(DrafterSession):
             proposals.append(token)
             if len(proposals) >= budget:
                 return proposals
-            logits = model.decode_step(token, position, self._caches)
+            logits = model.decode_step_batch([token], [position], [self._caches])[0]
             self._tokens.append(token)
             position += 1
 
@@ -253,11 +250,11 @@ def accept_greedy(chunk_logits: np.ndarray,
                   proposals: Sequence[int]) -> tuple[int, list[int]]:
     """Greedy accepted-prefix + first-mismatch acceptance.
 
-    ``chunk_logits`` are the :meth:`DecoderLM.verify_chunk` rows for a chunk
-    ``[next_input, *proposals]``: row ``i`` is the target's next-token
-    distribution after ``chunk[: i + 1]``.  Returns ``(n_accepted, emitted)``
-    where ``emitted`` is the accepted proposal prefix followed by one token
-    the target chose itself — the corrected token at the first mismatch, or
+    ``chunk_logits`` are one sequence's :meth:`DecoderLM.verify_chunk_batch`
+    rows for a chunk ``[next_input, *proposals]``: row ``i`` is the target's
+    next-token distribution after ``chunk[: i + 1]``.  Returns
+    ``(n_accepted, emitted)`` where ``emitted`` is the accepted proposal
+    prefix followed by one token the target chose itself — the corrected token at the first mismatch, or
     the bonus token after a fully-accepted proposal.  Every emitted token is
     the target's argmax given exactly its prefix, so the stream is identical
     to plain greedy decoding.

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import heapq
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -52,12 +51,7 @@ from repro.llm.config import ModelConfig
 from repro.registry import resolve
 from repro.serve.executor import ModelExecutor, OnToken, StepOutcome
 from repro.serve.faults import TransientExecutorError, resolve_fault_plan
-from repro.serve.kv_manager import (
-    DEFER_MIN_SHARED,
-    KVSpaceManager,
-    RequestCheckpoint,
-    shared_prefix_len,
-)
+from repro.serve.kv_manager import KVSpaceManager, RequestCheckpoint
 from repro.serve.scheduler import (
     Scheduler,
     SchedulingPolicy,
@@ -623,33 +617,6 @@ class ServingEngine:
         return report
 
     # ------------------------------------------------------------------
-    # Deprecated internal hooks (the PR 1 shim convention): the serving loop
-    # now lives in repro.serve.{scheduler,kv_manager,executor}.
-    _DEFER_MIN_SHARED = DEFER_MIN_SHARED
-
-    @staticmethod
-    def _shared_prefix_len(a: list[int], b: list[int]) -> int:
-        warnings.warn(
-            "ServingEngine._shared_prefix_len is deprecated; use "
-            "repro.serve.kv_manager.shared_prefix_len", DeprecationWarning,
-            stacklevel=2)
-        return shared_prefix_len(a, b)
-
-    @staticmethod
-    def _finish_prefill(state: dict, logits: np.ndarray, index, now: float) -> None:
-        warnings.warn(
-            "ServingEngine._finish_prefill is deprecated; prefill completion "
-            "lives in repro.serve.executor.ModelExecutor", DeprecationWarning,
-            stacklevel=2)
-        state["next_input"] = int(np.argmax(logits))
-        state["generated"].append(state["next_input"])
-        state["position"] = len(state["prompt"])
-        state["ttft_s"] = now - state["admitted_wall"]
-        if index is not None:
-            index.insert(state["prompt"],
-                         [cache.fork() for cache in state["caches"]])
-
-    # ------------------------------------------------------------------
     def cancel(self, request_id: str) -> None:
         """Request cancellation of one in-flight request.
 
@@ -898,7 +865,7 @@ class FunctionalSession:
                                  radix_max_tokens=radix_max_tokens,
                                  capacity_tokens=capacity_tokens)
         self._drafter = resolve_drafter(drafter)
-        # Speculation needs verify_chunk (chunked prefill) and KV rollback;
+        # Speculation needs chunked verification and KV rollback;
         # caches without them run the plain decode path, as generate() does.
         self.spec_on = (self._drafter is not None and self._drafter.k > 0
                         and self.kv.chunkable and self.kv.rollbackable)

@@ -1,10 +1,9 @@
-"""Equivalence of the batched inference path with the sequential path.
+"""Equivalence of batched inference with one-sequence-at-a-time runs.
 
-The batched prefill/decode methods must reproduce the single-sequence path
-token-for-token for **every** registered cache policy, including ragged
-batches (mixed prompt lengths), B=1 and early-EOS dropout — these tests pin
-that contract so future perf work on the hot loop cannot silently change
-model outputs.
+Ragged batches must reproduce ``B = 1`` runs (the single-sequence drivers)
+token-for-token for **every** registered cache policy, including mixed
+prompt lengths and early-EOS dropout — these tests pin that contract so
+future perf work on the hot loop cannot silently change model outputs.
 """
 
 from __future__ import annotations
@@ -206,7 +205,7 @@ class TestBatchedPrefill:
         batched_logits = small_model.prefill_batch(prompts, caches_batch)
         for b, prompt in enumerate(prompts):
             caches = small_model.make_caches(factory)
-            logits = small_model.prefill(prompt, caches)
+            logits = small_model.prefill_batch([prompt], [caches])[0]
             np.testing.assert_allclose(batched_logits[b], logits, atol=1e-4)
             for layer, (seq_cache, bat_cache) in enumerate(zip(caches, caches_batch[b])):
                 seq_k, seq_v, seq_valid = seq_cache.fetch()

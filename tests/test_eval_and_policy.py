@@ -96,7 +96,7 @@ class TestKellePolicy:
         caches = small_model.make_caches(policy.cache_factory(seed=0))
         assert all(isinstance(cache, AERPCache) for cache in caches)
         tokens = rng.integers(0, small_model.config.vocab_size, size=12).tolist()
-        logits = small_model.prefill(tokens, caches)
+        logits = small_model.prefill_batch([tokens], [caches])[0]
         assert np.all(np.isfinite(logits))
 
     def test_fault_injection_can_be_disabled(self, small_model):

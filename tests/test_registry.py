@@ -165,24 +165,3 @@ class TestOtherKindsRoundTrip:
             assert trace.batch_size == 1
         custom = resolve("trace", "pg19:context=2048,decode=256,batch=4")
         assert (custom.context_len, custom.decode_len, custom.batch_size) == (2048, 256, 4)
-
-
-class TestDeprecationShims:
-    def test_old_cache_factories_still_work_but_warn(self, small_model, rng):
-        from repro.baselines.eviction import (
-            h2o_cache_factory,
-            random_cache_factory,
-            streaming_llm_cache_factory,
-        )
-        from repro.baselines.quant_kv import kivi_cache_factory, quarot_cache_factory
-
-        prompt = rng.integers(0, small_model.config.vocab_size, size=16)
-        for shim in (lambda: streaming_llm_cache_factory(16, sink_tokens=2),
-                     lambda: h2o_cache_factory(16, sink_tokens=2, recent_window=4),
-                     lambda: random_cache_factory(16, sink_tokens=2, recent_window=4),
-                     lambda: kivi_cache_factory(bits=2),
-                     lambda: quarot_cache_factory(bits=4)):
-            with pytest.warns(DeprecationWarning):
-                factory = shim()
-            result = generate(small_model, prompt, 4, cache_factory=factory)
-            assert len(result.generated_tokens) == 4

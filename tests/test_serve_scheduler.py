@@ -285,20 +285,6 @@ class TestRequestExtensions:
         with pytest.raises(ValueError):
             Request("x", 0.0, 8, 4, priority=-1)
 
-    def test_deprecated_engine_hooks_warn(self):
-        engine = ServingEngine(max_concurrency=1)
-        with pytest.warns(DeprecationWarning):
-            assert engine._shared_prefix_len([1, 2, 3], [1, 2, 9]) == 2
-        import numpy as np
-
-        state = {"prompt": [1, 2], "generated": [], "caches": [],
-                 "next_input": None, "position": 0, "ttft_s": 0.0,
-                 "admitted_wall": 0.0}
-        with pytest.warns(DeprecationWarning):
-            engine._finish_prefill(state, np.array([0.0, 1.0, 0.0]), None, 1.0)
-        assert state["next_input"] == 1
-        assert state["generated"] == [1]
-
 
 class TestRequeueFairness:
     """Drained/re-admitted requests keep their original arrival ranking."""

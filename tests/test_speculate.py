@@ -2,8 +2,8 @@
 
 Covers the drafter registry kind, the prompt-lookup n-gram drafter's
 proposals on repetitive context, the draft-model drafter's perfect acceptance
-when draft == target, and the contract that `verify_chunk` reproduces k
-sequential `decode_step` calls to float precision.
+when draft == target, and the contract that `verify_chunk_batch` reproduces k
+sequential `decode_step_batch` calls to float precision.
 """
 
 from __future__ import annotations
@@ -130,15 +130,15 @@ class TestVerifyChunk:
         factory = resolve("cache", spec)
 
         seq_caches = small_model.make_caches(factory)
-        small_model.prefill(prompt, seq_caches)
+        small_model.prefill_batch([prompt], [seq_caches])
         seq_logits = []
         for offset, token in enumerate(chunk):
-            seq_logits.append(small_model.decode_step(token, len(prompt) + offset,
-                                                      seq_caches))
+            seq_logits.append(small_model.decode_step_batch(
+                [token], [len(prompt) + offset], [seq_caches])[0])
 
         ver_caches = small_model.make_caches(factory)
-        small_model.prefill(prompt, ver_caches)
-        ver_logits = small_model.verify_chunk(chunk, len(prompt), ver_caches)
+        small_model.prefill_batch([prompt], [ver_caches])
+        ver_logits = small_model.verify_chunk_batch([chunk], [len(prompt)], [ver_caches])[0]
 
         assert ver_logits.shape == (len(chunk), vocab)
         np.testing.assert_allclose(ver_logits, np.stack(seq_logits), atol=1e-4)
@@ -151,16 +151,16 @@ class TestVerifyChunk:
 
     def test_position_mismatch_raises(self, small_model):
         caches = small_model.make_caches()
-        small_model.prefill([1, 2, 3], caches)
+        small_model.prefill_batch([[1, 2, 3]], [caches])
         with pytest.raises(ValueError):
-            small_model.verify_chunk([4, 5], 5, caches)
+            small_model.verify_chunk_batch([[4, 5]], [5], [caches])[0]
 
     def test_non_chunkable_cache_raises(self, small_model):
         factory = resolve("cache", "h2o:budget=8,sink_tokens=2,recent_window=3")
         caches = small_model.make_caches(factory)
-        small_model.prefill([1, 2, 3], caches)
+        small_model.prefill_batch([[1, 2, 3]], [caches])
         with pytest.raises(ValueError):
-            small_model.verify_chunk([4], 3, caches)
+            small_model.verify_chunk_batch([[4]], [3], [caches])[0]
 
     def test_batched_verify_matches_single(self, small_model, rng):
         vocab = small_model.config.vocab_size
@@ -170,12 +170,12 @@ class TestVerifyChunk:
         singles = []
         for prompt, chunk in zip(prompts, chunks):
             caches = small_model.make_caches()
-            small_model.prefill(prompt, caches)
-            singles.append(small_model.verify_chunk(chunk, len(prompt), caches))
+            small_model.prefill_batch([prompt], [caches])
+            singles.append(small_model.verify_chunk_batch([chunk], [len(prompt)], [caches])[0])
 
         caches_batch = [small_model.make_caches() for _ in prompts]
         for prompt, caches in zip(prompts, caches_batch):
-            small_model.prefill(prompt, caches)
+            small_model.prefill_batch([prompt], [caches])
         batched = small_model.verify_chunk_batch(chunks, [len(p) for p in prompts],
                                                  caches_batch)
         for single, bat in zip(singles, batched):
