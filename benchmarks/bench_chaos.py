@@ -131,7 +131,7 @@ def run_benchmark(quick: bool, repeats: int, seed: int = 0) -> dict:
         vocab_size=vocab, alpha=1.1, deadline_steps=over_deadline,
         max_retries=4, seed=seed + 1)
     overloaded = best(overload_requests, faults=["alloc-pressure:rate=0.1"],
-                      shed_threshold=0.85, paranoid=True,
+                      admission="kv-pressure:threshold=0.85", paranoid=True,
                       arrivals_per_step=over_arrivals)
     overload = _chaos_metrics(overloaded, len(overload_requests))
     overload["terminal_fraction"] = (len(overloaded.results)
@@ -149,7 +149,7 @@ def run_benchmark(quick: bool, repeats: int, seed: int = 0) -> dict:
             "overload": {"n_requests": over_requests,
                          "deadline_steps": over_deadline,
                          "arrivals_per_step": over_arrivals,
-                         "shed_threshold": 0.85},
+                         "admission": "kv-pressure:threshold=0.85"},
         },
         "chaos": chaos,
         "overload": overload,

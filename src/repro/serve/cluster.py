@@ -42,9 +42,10 @@ rather than N engines:
   pool, an empty radix index and a rebuilt router-side prefix digest.
   Chaos testing composes these through a deterministic
   :class:`~repro.serve.faults.FaultPlan` (``faults=...``), with per-request
-  deadlines/retries, projected-KV load shedding (``shed_threshold``) and a
-  paranoid per-step invariant sweep (``paranoid=True``) guaranteeing every
-  request ends in exactly one explicit terminal status.
+  deadlines/retries, projected-KV load shedding
+  (``admission="kv-pressure:threshold=X"``) and a paranoid per-step
+  invariant sweep (``paranoid=True``) guaranteeing every request ends in
+  exactly one explicit terminal status.
 
 * **Overload control & tail taming** — the ``"admission"`` registry kind
   (:mod:`repro.serve.admission`) puts an explicit per-arrival policy in
@@ -82,7 +83,7 @@ from __future__ import annotations
 
 import abc
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
@@ -102,7 +103,7 @@ from repro.serve.engine import (
     LoadSnapshot,
     Request,
     ServingEngine,
-    _percentiles_from_sorted,
+    _ResultStats,
 )
 from repro.serve.faults import resolve_fault_plan
 from repro.serve.overload import (
@@ -464,16 +465,19 @@ class _HedgeFlight:
 # Cluster report
 # ----------------------------------------------------------------------
 @dataclass
-class ClusterReport:
+class ClusterReport(_ResultStats):
     """Aggregate outcome of one :meth:`ClusterEngine.run` call.
 
     ``replica_reports`` holds each replica's own
     :class:`~repro.serve.engine.FunctionalServingReport` (a failed replica's
     report contains only the requests it finished before dying); cluster-wide
-    views pool them.  ``parallel_wall_s`` is the simulated parallel makespan:
-    per lockstep round, the maximum of the stepping replicas' measured wall
-    latencies — what a cluster with truly concurrent replicas would take —
-    and is the denominator of :attr:`decode_tokens_per_s`.
+    views pool them.  Status counts, token totals and TTFT statistics run
+    over the pooled :attr:`results`, so a hedge win — whose result moves from
+    the winning replica's report into ``cluster_results`` — still counts.
+    ``parallel_wall_s`` is the simulated parallel makespan: per lockstep
+    round, the maximum of the stepping replicas' measured wall latencies —
+    what a cluster with truly concurrent replicas would take — and is the
+    denominator of :attr:`decode_tokens_per_s`.
     """
 
     router: str
@@ -492,7 +496,8 @@ class ClusterReport:
     #: Simulated parallel makespan (sum over rounds of the slowest step).
     parallel_wall_s: float = 0.0
     #: Requests terminated at the cluster layer (shed admissions, requests
-    #: cancelled while queued/requeued) — they never reached a replica.
+    #: cancelled while queued/requeued), plus hedge wins: the winning
+    #: copy's result, moved out of its replica's report.
     cluster_results: list[FunctionalRequestResult] = field(default_factory=list)
     #: replica_id -> {"healthy->degraded": count, ...} transition counters.
     health_transitions: dict[int, dict[str, int]] = field(default_factory=dict)
@@ -538,35 +543,15 @@ class ClusterReport:
         return pooled
 
     @property
-    def n_requests(self) -> int:
-        return (sum(report.n_requests for report in self.replica_reports)
-                + len(self.cluster_results))
-
-    @property
     def n_requeued(self) -> int:
         """Drain-and-re-route events across the run (one request may count
         several times if it survived several failures)."""
         return sum(self.requeues.values())
 
     @property
-    def total_decode_tokens(self) -> int:
-        return sum(r.total_decode_tokens for r in self.replica_reports)
-
-    @property
-    def total_prompt_tokens(self) -> int:
-        return sum(r.total_prompt_tokens for r in self.replica_reports)
-
-    @property
-    def reused_prefix_tokens(self) -> int:
-        """Prompt tokens served from replica radix caches instead of prefilled."""
-        return sum(r.reused_prefix_tokens for r in self.replica_reports)
-
-    @property
     def completed_fraction(self) -> float:
-        results = self.results
-        if not results:
-            return 0.0
-        return sum(1 for r in results if r.status == "finished") / len(results)
+        n = self.n_requests
+        return self._n_status("finished") / n if n else 0.0
 
     @property
     def decode_tokens_per_s(self) -> float:
@@ -582,30 +567,13 @@ class ClusterReport:
         return sum(r.n_retries for r in self.replica_reports)
 
     @property
-    def n_timeouts(self) -> int:
-        return sum(1 for r in self.results if r.status == "timeout")
-
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for r in self.results if r.status == "failed")
-
-    @property
     def n_shed(self) -> int:
-        return sum(1 for r in self.results if r.status == "shed")
-
-    @property
-    def n_cancelled(self) -> int:
-        return sum(1 for r in self.results if r.status == "cancelled")
+        return self._n_status("shed")
 
     @property
     def n_health_transitions(self) -> int:
         return sum(sum(counts.values())
                    for counts in self.health_transitions.values())
-
-    @property
-    def n_truncated(self) -> int:
-        """Requests finished early under a brownout decode cap."""
-        return sum(1 for r in self.results if r.truncated)
 
     @property
     def n_breaker_trips(self) -> int:
@@ -650,20 +618,6 @@ class ClusterReport:
         return sum(r.recompute_tokens_saved for r in self.replica_reports)
 
     # -- latency ---------------------------------------------------------
-    def _ttft_values(self) -> list[float]:
-        return [r.ttft_s for r in self.results if r.first_token_step >= 0]
-
-    @property
-    def mean_ttft_s(self) -> float:
-        values = self._ttft_values()
-        return float(np.mean(values)) if values else 0.0
-
-    def ttft_percentile_s(self, percentile: float) -> float:
-        values = self._ttft_values()
-        if not values:
-            return 0.0
-        return float(np.percentile(values, percentile))
-
     def step_latency_percentile_s(self, percentile: float) -> float:
         """Pooled per-replica engine-step latency percentile."""
         values = [s for r in self.replica_reports for s in r.step_latencies_s]
@@ -687,24 +641,14 @@ class ClusterReport:
 
     def summary(self) -> str:
         """Human-readable multi-line summary of the cluster run."""
-        ttft_sorted = np.sort(self._ttft_values())
-        ttft_p50, ttft_p99 = _percentiles_from_sorted(ttft_sorted, (50, 99))
-        step_sorted = np.sort([s for r in self.replica_reports
-                               for s in r.step_latencies_s])
-        step_p50, step_p99 = _percentiles_from_sorted(step_sorted, (50, 99))
-        reused, prompts = self.reused_prefix_tokens, self.total_prompt_tokens
         lines = [
             f"ClusterReport: {self.n_requests} requests on {self.n_replicas} "
             f"replicas (router {self.router}, <= {self.max_concurrency} "
             f"concurrent each): {self.total_decode_tokens} tokens decoded in "
             f"{self.cluster_steps} rounds / {self.parallel_wall_s:.2f} s "
             f"parallel makespan ({self.decode_tokens_per_s:.1f} tok/s)",
-            f"  TTFT           mean {self.mean_ttft_s * 1e3:8.2f} ms | "
-            f"p50 {ttft_p50 * 1e3:8.2f} ms | p99 {ttft_p99 * 1e3:8.2f} ms",
-            f"  step latency   p50  {step_p50 * 1e3:8.2f} ms | "
-            f"p99 {step_p99 * 1e3:8.2f} ms",
-            f"  prefix reuse   {reused} / {prompts} prompt tokens "
-            f"({100.0 * reused / max(prompts, 1):.1f}%)",
+            *self._common_lines([s for r in self.replica_reports
+                                 for s in r.step_latencies_s]),
             f"  balance        decode tokens per replica "
             f"{self.per_replica_decode_tokens} "
             f"(imbalance {self.load_imbalance:.2f}x)",
@@ -766,6 +710,159 @@ class ClusterReport:
 # ----------------------------------------------------------------------
 # The cluster engine
 # ----------------------------------------------------------------------
+#: Admission verdict -> per-tenant admission counter key.
+_ADMISSION_OUTCOMES = {AdmissionDecision.ADMIT: "admitted",
+                       AdmissionDecision.DEFER: "deferred",
+                       AdmissionDecision.SHED: "shed"}
+
+
+def _describe(policy) -> str | None:
+    return policy.describe() if policy is not None else None
+
+
+class _Run:
+    """Everything one :meth:`ClusterEngine.run` call reads and mutates.
+
+    Built fresh per call, so every run starts with new sessions, healthy
+    replicas, closed breakers, empty queues and an empty report.
+    """
+
+    def __init__(self, cluster: "ClusterEngine", lm: "DecoderLM",
+                 requests: list[Request]) -> None:
+        if not requests:
+            raise ValueError("requests must be non-empty")
+        #: Every request id the run must account for (burst clones join).
+        self.seen: set[str] = set()
+        for request in requests:
+            if request.request_id in self.seen:
+                raise ValueError(f"duplicate request_id '{request.request_id}'")
+            self.seen.add(request.request_id)
+        n, faults = cluster.n_replicas, cluster.faults
+        # Merge the fault plan's crash schedule into the manual fail_replica
+        # one (earliest kill wins); crashes with recover_after rejoin later.
+        self.fail_at = dict(cluster._fail_at)
+        self.recover_delay: dict[int, int] = {}
+        self.recover_at: dict[int, int] = {}
+        for crash in (faults.crashes if faults is not None else ()):
+            if not 0 <= crash.replica < n:
+                raise ValueError(
+                    f"fault plan kills replica {crash.replica} but the "
+                    f"cluster has {n} replicas")
+            self.fail_at[crash.replica] = min(
+                self.fail_at.get(crash.replica, crash.at), crash.at)
+            if crash.recover_after is not None:
+                self.recover_delay[crash.replica] = crash.recover_after
+        self.cancel_at = dict(cluster._cancel_at)
+        #: Cancellations due this round (a cancelled primary's hedge too).
+        self.due_cancels: set[str] = set()
+        self.lm = lm
+        self.step = 0
+        self.pending = deque(sorted(
+            requests, key=lambda r: (r.arrival_time_s, r.request_id)))
+        self.sessions = [cluster._start_session(lm, i) for i in range(n)]
+        self.alive = [True] * n
+        self.health = [ReplicaHealth.HEALTHY] * n
+        self.breakers = [CircuitBreaker(cluster.breaker)
+                         if cluster.breaker is not None else None
+                         for _ in range(n)]
+        # Health-supervision signals: per-replica retry deltas over a
+        # sliding window of rounds, and consecutive slow rounds for hedging.
+        self.retry_hist = [deque(maxlen=HEALTH_WINDOW) for _ in range(n)]
+        self.last_retries = [0] * n
+        self.slow_streak = [0] * n
+        #: Drained states awaiting re-routing (routed before fresh arrivals).
+        self.requeue: "deque[SequenceState]" = deque()
+        #: request_id -> latest periodic KV checkpoint (checkpoint:interval=S
+        #: mode); rebuilt wholesale each interval so finished requests drop
+        #: out.  Attached to crash-drained states, whose own state rides the
+        #: requeue — the checkpoint data is self-contained, so it survives
+        #: the pool it was exported from.
+        self.ckpt_stash: "dict[str, RequestCheckpoint]" = {}
+        # The admission policy is resolved fresh per run so stateful
+        # policies (token buckets, stride schedulers) start clean;
+        # `deferred` is the lossless backpressure queue its DEFER verdicts
+        # feed; `first_offered` dates each request's first admission attempt
+        # so deadlines and max_wait count queueing rounds.
+        self.admission = resolve_admission(cluster.admission)
+        self.deferred: "deque[Request]" = deque()
+        self.first_offered: dict[str, int] = {}
+        self.burst_counts: dict[int, int] = {}
+        self.ladder = (BrownoutLadder(cluster.brownout)
+                       if cluster.brownout is not None else None)
+        #: primary request_id -> in-flight hedge duplicate.
+        self.hedges: "dict[str, _HedgeFlight]" = {}
+        self.hedged_ever: set[str] = set()
+        #: Reports of crashed sessions sealed when their replica rejoined.
+        self.retired: list[FunctionalServingReport] = []
+        self.report = ClusterReport(
+            router=cluster.router.describe(), n_replicas=n,
+            max_concurrency=cluster.max_concurrency,
+            faults=_describe(faults),
+            migration=(cluster.migration.describe()
+                       if cluster.migration.enabled else None),
+            admission=_describe(self.admission),
+            brownout=_describe(cluster.brownout),
+            hedge=_describe(cluster.hedge), breaker=_describe(cluster.breaker))
+
+    def alive_ids(self) -> list[int]:
+        return [i for i, up in enumerate(self.alive) if up]
+
+    def has_work(self) -> bool:
+        return bool(self.pending or self.requeue or self.deferred
+                    or any(self.sessions[i].has_work()
+                           for i in self.alive_ids()))
+
+    def reset_replica(self, i: int) -> None:
+        """Clear replica ``i``'s supervision history (crash and rejoin)."""
+        self.retry_hist[i].clear()
+        self.last_retries[i] = 0
+        self.slow_streak[i] = 0
+        if self.breakers[i] is not None:
+            self.breakers[i].reset()
+
+    def set_health(self, i: int, health: ReplicaHealth) -> None:
+        old = self.health[i]
+        if old is health:
+            return
+        self.health[i] = health
+        counts = self.report.health_transitions.setdefault(i, {})
+        key = f"{old.value}->{health.value}"
+        counts[key] = counts.get(key, 0) + 1
+
+    def log_breaker(self, i: int, moved: "tuple[str, str] | None") -> None:
+        """Log replica ``i``'s breaker transition (``None``: it held)."""
+        if moved is not None:
+            self.report.breaker_events.append(
+                (self.step, i, f"{moved[0]}->{moved[1]}"))
+
+    def count_tenant(self, tenant: str, key: str) -> None:
+        bucket = self.report.tenant_admission.setdefault(
+            tenant, {"admitted": 0, "deferred": 0, "shed": 0, "timeout": 0})
+        bucket[key] += 1
+
+    def terminate(self, request: Request, status: str,
+                  state: "SequenceState | None" = None) -> None:
+        """Mint a terminal result at the cluster layer (shed / cancelled /
+        timed out before reaching a replica, or cancelled while requeued)."""
+        if state is None:
+            state = SequenceState(request=request,
+                                  prompt=list(request.prompt_tokens or ()))
+        result = ServingEngine._result(state, self.step, status)
+        result.finished_clock = self.step
+        self.report.cluster_results.append(result)
+
+    def place(self, state: "SequenceState", target: int) -> None:
+        """Inject a drained state into replica ``target`` and count the move
+        (a state carrying a KV checkpoint counts as migrated)."""
+        self.sessions[target].inject_request(state)
+        report, rid = self.report, state.request_id
+        if state.checkpoint is not None:
+            report.migrated_requests += 1
+            report.migrated_pages += state.checkpoint.n_pages
+        report.assignments[rid] = target
+        report.requeues[rid] = report.requeues.get(rid, 0) + 1
+
+
 class ClusterEngine:
     """N independent serving replicas behind a routing policy.
 
@@ -804,7 +901,6 @@ class ClusterEngine:
                  seed: int = 0,
                  arrivals_per_step: int | None = None,
                  faults: "object | None" = None,
-                 shed_threshold: float | None = None,
                  paranoid: bool = False,
                  migration: "MigrationPolicy | str | Sequence | None" = None,
                  admission: "AdmissionPolicy | str | Sequence | None" = None,
@@ -816,8 +912,6 @@ class ClusterEngine:
             raise ValueError("n_replicas must be positive")
         if arrivals_per_step is not None and arrivals_per_step <= 0:
             raise ValueError("arrivals_per_step must be positive (or None)")
-        if shed_threshold is not None and shed_threshold <= 0:
-            raise ValueError("shed_threshold must be positive (or None)")
         self.n_replicas = n_replicas
         self.router = resolve_router(router)
         self.max_concurrency = max_concurrency
@@ -834,10 +928,6 @@ class ClusterEngine:
         #: and every replica session (transient-exec / alloc-pressure gates,
         #: straggler inflation scoped by replica_id).
         self.faults = resolve_fault_plan(faults, seed=seed)
-        #: Shed a fresh arrival when the cluster-wide projected KV footprint
-        #: (live requests + the candidate) would exceed this fraction of the
-        #: replicas' summed pool capacity (``None`` disables shedding).
-        self.shed_threshold = shed_threshold
         self.paranoid = paranoid
         #: Live-migration policy (``"migration"`` registry kind): proactive
         #: drain of DEGRADED replicas and/or periodic crash checkpoints.
@@ -845,10 +935,9 @@ class ClusterEngine:
         #: Admission spec (``"admission"`` registry kind).  Kept as the raw
         #: spec and resolved fresh at every :meth:`run`, so stateful policies
         #: (token-bucket levels, weighted-fair virtual clocks) start clean
-        #: per run and repeated runs stay byte-identical.  ``None`` with a
-        #: ``shed_threshold`` reproduces the legacy KV-pressure shedding.
+        #: per run and repeated runs stay byte-identical.
         self.admission = admission
-        resolve_admission(admission, shed_threshold)  # fail fast on bad specs
+        resolve_admission(admission)  # fail fast on bad specs
         #: Brownout ladder config (``None`` disables graceful degradation).
         self.brownout = resolve_brownout(brownout)
         #: Hedged-request policy (``None`` disables duplication).
@@ -857,10 +946,6 @@ class ClusterEngine:
         self.breaker = resolve_breaker(breaker)
         self.engines = [ServingEngine(max_concurrency=max_concurrency)
                         for _ in range(n_replicas)]
-        self._sessions: "list[FunctionalSession] | None" = None
-        self._alive = [True] * n_replicas
-        self._health = {i: ReplicaHealth.HEALTHY for i in range(n_replicas)}
-        self._breakers: "list[CircuitBreaker | None]" = [None] * n_replicas
         self._fail_at: dict[int, int] = {}
         self._cancel_at: dict[str, int] = {}
 
@@ -909,60 +994,47 @@ class ClusterEngine:
             raise ValueError("at_step must be non-negative")
         self._cancel_at[request_id] = at_step
 
-    # -- health supervision ----------------------------------------------
-    def _set_health(self, report: ClusterReport, replica_id: int,
-                    health: ReplicaHealth) -> None:
-        old = self._health[replica_id]
-        if old is health:
-            return
-        self._health[replica_id] = health
-        counts = report.health_transitions.setdefault(replica_id, {})
-        key = f"{old.value}->{health.value}"
-        counts[key] = counts.get(key, 0) + 1
-
     # -- routing ---------------------------------------------------------
-    def _views(self) -> list[ReplicaView]:
-        assert self._sessions is not None
-        views = [ReplicaView(i, self._sessions[i].load_snapshot(),
-                             self._health[i],
-                             breaker_open=(self._breakers[i] is not None
-                                           and not self._breakers[i]
+    def _views(self, run: _Run) -> list[ReplicaView]:
+        views = [ReplicaView(i, run.sessions[i].load_snapshot(), run.health[i],
+                             breaker_open=(run.breakers[i] is not None
+                                           and not run.breakers[i]
                                            .allows_routing()))
-                 for i in range(self.n_replicas) if self._alive[i]]
+                 for i in run.alive_ids()]
         if not views:
             raise RuntimeError("every replica has failed with work outstanding")
         return views
 
-    def _route(self, request: Request) -> int:
-        target = self.router.route(request, self._views())
-        if not (0 <= target < self.n_replicas and self._alive[target]):
+    def _route(self, run: _Run, request: Request) -> int:
+        target = self.router.route(request, self._views(run))
+        if not (0 <= target < self.n_replicas and run.alive[target]):
             raise RuntimeError(
                 f"router {self.router.describe()} chose unavailable replica "
                 f"{target}")
-        if self._breakers[target] is not None:
-            self._breakers[target].note_routed()  # spends a half-open probe
+        if run.breakers[target] is not None:
+            run.breakers[target].note_routed()  # spends a half-open probe
         return target
 
-    def _admission_context(self, clock: int, waited: int = 0) -> AdmissionContext:
+    def _admission_context(self, run: _Run, waited: int = 0) -> AdmissionContext:
         """The cluster-wide load the admission policy sees for one candidate.
 
         Rebuilt per candidate (views are recomputed), so a request admitted
         earlier in the same round already counts toward the pressure a later
-        candidate is judged against — exactly the legacy shed semantics.
+        candidate is judged against.
         """
         projected = n_live = 0
         capacity: int | None = 0
-        for view in self._views():
+        for view in self._views(run):
             n_live += view.load.n_live
             projected += view.load.projected_kv_tokens
             if capacity is not None:
                 capacity = (None if view.load.capacity_tokens is None
                             else capacity + view.load.capacity_tokens)
-        return AdmissionContext(clock=clock, projected_kv_tokens=projected,
+        return AdmissionContext(clock=run.step, projected_kv_tokens=projected,
                                 capacity_tokens=capacity, n_live=n_live,
                                 waited=waited)
 
-    # -- the cluster loop ------------------------------------------------
+    # -- replicas --------------------------------------------------------
     def _start_session(self, lm: "DecoderLM",
                        replica_id: int) -> "FunctionalSession":
         """Open one replica's session (fresh pool/index — also the rejoin path)."""
@@ -977,33 +1049,10 @@ class ClusterEngine:
             faults=self.faults, paranoid=self.paranoid,
             replica_id=replica_id)
 
-    @staticmethod
-    def _cluster_result(request: Request, step: int, status: str,
-                        state: "SequenceState | None" = None,
-                        ) -> FunctionalRequestResult:
-        """A terminal result minted at the cluster layer (shed / cancelled)."""
-        return FunctionalRequestResult(
-            request=request,
-            prompt_tokens=(state.prompt if state is not None
-                           else list(request.prompt_tokens or ())),
-            generated_tokens=state.generated if state is not None else [],
-            admitted_step=state.admitted_step if state is not None else -1,
-            finished_step=step,
-            ttft_s=state.ttft_s if state is not None else 0.0,
-            reused_prefix_tokens=state.reused if state is not None else 0,
-            status=status,
-            first_token_step=(state.first_token_step
-                              if state is not None else -1),
-            n_preemptions=state.n_preemptions if state is not None else 0,
-            n_retries=state.n_retries if state is not None else 0,
-            finished_clock=step,
-        )
-
-    @staticmethod
-    def _count_tenant(report: ClusterReport, tenant: str, key: str) -> None:
-        bucket = report.tenant_admission.setdefault(
-            tenant, {"admitted": 0, "deferred": 0, "shed": 0, "timeout": 0})
-        bucket[key] += 1
+    def _slowdown(self, replica_id: int, step: int) -> float:
+        """The fault plan's deterministic slowdown signal (1.0 unfaulted)."""
+        return (self.faults.slowdown(replica_id, step)
+                if self.faults is not None else 1.0)
 
     def _apply_brownout(self, session: "FunctionalSession", level: int) -> None:
         """Set one replica to the ladder's current degradation rung.
@@ -1024,553 +1073,102 @@ class ClusterEngine:
             else:
                 session.uncap_decodes()
 
-    def _overload_signals(self, deferred: "deque[Request]",
-                          requeue: "deque[SequenceState]") -> tuple[float, int]:
-        """(KV pressure, queue depth) the brownout ladder observes.
-
-        Iterates the sessions directly (not :meth:`_views`, which raises when
-        every replica is dead) so the ladder can still step while the fleet
-        recovers.  Pressure is live-footprint over bounded capacity across
-        alive replicas; unbounded pools contribute no pressure.
-        """
-        assert self._sessions is not None
-        projected = capacity = 0
-        for i in range(self.n_replicas):
-            if not self._alive[i]:
-                continue
-            load = self._sessions[i].load_snapshot()
-            if load.capacity_tokens is not None:
-                projected += load.projected_kv_tokens
-                capacity += load.capacity_tokens
-        pressure = projected / capacity if capacity else 0.0
-        return pressure, len(deferred) + len(requeue)
-
-    def _launch_hedge(self, sessions: "list[FunctionalSession]", src: int,
-                      state: "SequenceState", step: int,
-                      report: ClusterReport) -> "_HedgeFlight | None":
-        """Duplicate one straggling decode onto the best healthy replica.
-
-        KV-checkpoint-seeded when the source cache supports it (the copy
-        resumes decoding with zero recompute), full-recompute otherwise.
-        Returns None when no healthy, breaker-closed sibling exists.
-        """
-        views = [v for v in self._views()
-                 if v.replica_id != src and v.health is ReplicaHealth.HEALTHY
-                 and not v.breaker_open]
-        if not views:
-            return None
-        dst = min(views, key=LeastLoadedRouter.pressure).replica_id
-        request = state.request
-        hedge_id = request.request_id + HEDGE_SUFFIX
-        ckpt = sessions[src].kv.checkpoint(state)
-        if ckpt is not None:
-            ckpt = replace(ckpt, request_id=hedge_id)
-        hedge_state = SequenceState(
-            request=replace(request, request_id=hedge_id),
-            prompt=list(state.prompt), generated=list(state.generated),
-            decode_cap=state.decode_cap, checkpoint=ckpt)
-        sessions[dst].inject_request(hedge_state)
-        via = "checkpoint" if ckpt is not None else "recompute"
-        report.n_hedges += 1
-        report.assignments[hedge_id] = dst
-        report.hedge_events.append(
-            (step, "launch", request.request_id, src, dst, via))
-        return _HedgeFlight(request=request, hedge_id=hedge_id, src=src,
-                            dst=dst, launched=step,
-                            fork_len=len(state.generated), via=via)
-
-    def _take_result(self, sessions: "list[FunctionalSession]",
-                     retired_reports: "list[FunctionalServingReport]",
-                     rid: str) -> FunctionalRequestResult | None:
-        """Remove and return ``rid``'s terminal result, wherever it landed."""
-        for i in range(self.n_replicas):
-            if self._alive[i]:
-                result = sessions[i].harvest_result(rid)
-                if result is not None:
-                    return result
-        for rep in retired_reports:
-            for idx, result in enumerate(rep.results):
-                if result.request.request_id == rid:
-                    return rep.results.pop(idx)
-        return None
-
-    def _discard_copy(self, sessions: "list[FunctionalSession]",
-                      retired_reports: "list[FunctionalServingReport]",
-                      requeue: "deque[SequenceState]", rid: str) -> int:
-        """Cancel the losing copy of a hedged pair; returns its decoded tokens.
-
-        The copy may have already finished (harvest its result), still be
-        live on a replica (extract — releases its KV pages), or be sitting
-        in the requeue after its replica crashed (drop it there).
-        """
-        result = self._take_result(sessions, retired_reports, rid)
-        if result is not None:
-            return len(result.generated_tokens)
-        for i in range(self.n_replicas):
-            if not self._alive[i]:
-                continue
-            extracted = sessions[i].extract_request(rid)
-            if extracted is not None:
-                state, _ = extracted
-                return len(state.generated)
-        for idx, state in enumerate(requeue):
-            if state.request_id == rid:
-                del requeue[idx]
-                return len(state.generated)
-        return 0
-
+    # -- the cluster loop ------------------------------------------------
     def run(self, lm: "DecoderLM", requests: list[Request]) -> ClusterReport:
-        """Serve ``requests`` across the replicas and aggregate the outcome."""
-        if not requests:
-            raise ValueError("requests must be non-empty")
-        seen: set[str] = set()
-        for request in requests:
-            if request.request_id in seen:
-                raise ValueError(f"duplicate request_id '{request.request_id}'")
-            seen.add(request.request_id)
-        pending = deque(sorted(requests,
-                               key=lambda r: (r.arrival_time_s, r.request_id)))
-        self._sessions = [self._start_session(lm, i)
-                          for i in range(self.n_replicas)]
-        sessions = self._sessions
-        self._alive = [True] * self.n_replicas
-        self._health = {i: ReplicaHealth.HEALTHY
-                        for i in range(self.n_replicas)}
-        requeue: "deque[SequenceState]" = deque()
-        #: request_id -> latest periodic KV checkpoint (checkpoint:interval=S
-        #: mode); rebuilt wholesale each interval so finished requests drop
-        #: out.  Attached to crash-drained states, whose own state rides the
-        #: requeue — the checkpoint data is self-contained, so it survives
-        #: the pool it was exported from.
-        ckpt_stash: "dict[str, RequestCheckpoint]" = {}
-        # Overload-control state.  The admission policy is resolved fresh per
-        # run so stateful policies (token buckets, stride schedulers) start
-        # clean; `deferred` is the lossless backpressure queue its DEFER
-        # verdicts feed; `first_offered` dates each request's first admission
-        # attempt so deadlines and max_wait count queueing rounds.
-        admission = resolve_admission(self.admission, self.shed_threshold)
-        deferred: "deque[Request]" = deque()
-        first_offered: dict[str, int] = {}
-        ladder = (BrownoutLadder(self.brownout)
-                  if self.brownout is not None else None)
-        self._breakers = ([CircuitBreaker(self.breaker)
-                           for _ in range(self.n_replicas)]
-                          if self.breaker is not None
-                          else [None] * self.n_replicas)
-        breakers = self._breakers
-        #: primary request_id -> in-flight hedge duplicate.
-        hedges: "dict[str, _HedgeFlight]" = {}
-        hedged_ever: set[str] = set()
-        slow_streak = [0] * self.n_replicas
-        bursts = self.faults.bursts if self.faults is not None else ()
-        burst_counts: dict[int, int] = {}
-        report = ClusterReport(router=self.router.describe(),
-                               n_replicas=self.n_replicas,
-                               max_concurrency=self.max_concurrency,
-                               faults=(self.faults.describe()
-                                       if self.faults is not None else None),
-                               migration=(self.migration.describe()
-                                          if self.migration.enabled else None),
-                               admission=(admission.describe()
-                                          if admission is not None else None),
-                               brownout=(self.brownout.describe()
-                                         if self.brownout is not None else None),
-                               hedge=(self.hedge.describe()
-                                      if self.hedge is not None else None),
-                               breaker=(self.breaker.describe()
-                                        if self.breaker is not None else None))
-        # Merge the fault plan's crash schedule into the manual fail_replica
-        # one (earliest kill wins); crashes with recover_after rejoin later.
-        fail_at = dict(self._fail_at)
-        recover_delay: dict[int, int] = {}
-        if self.faults is not None:
-            for crash in self.faults.crashes:
-                if not 0 <= crash.replica < self.n_replicas:
-                    raise ValueError(
-                        f"fault plan kills replica {crash.replica} but the "
-                        f"cluster has {self.n_replicas} replicas")
-                fail_at[crash.replica] = min(
-                    fail_at.get(crash.replica, crash.at), crash.at)
-                if crash.recover_after is not None:
-                    recover_delay[crash.replica] = crash.recover_after
-        recover_at: dict[int, int] = {}
-        cancel_at = dict(self._cancel_at)
-        # Health-supervision signals: per-replica retry deltas over a
-        # sliding window of rounds.
-        retry_hist = [deque(maxlen=HEALTH_WINDOW)
-                      for _ in range(self.n_replicas)]
-        last_retries = [0] * self.n_replicas
-        retired_reports: list[FunctionalServingReport] = []
+        """Serve ``requests`` across the replicas and aggregate the outcome.
+
+        Every lockstep round runs the phases below in order, until no
+        request is pending, deferred, requeued or live on an alive replica.
+        """
+        run = _Run(self, lm, requests)
         start = time.perf_counter()
-        step = 0
-        while (pending or requeue or deferred
-               or any(self._alive[i] and sessions[i].has_work()
-                      for i in range(self.n_replicas))):
-            # 1a. Rejoin recovered replicas: seal the crashed session's
-            #     report (pre-crash completions survive) and start a fresh
-            #     one — new pool, empty radix index, clean health history.
-            for replica_id in sorted(recover_at):
-                if recover_at[replica_id] > step or self._alive[replica_id]:
-                    continue
-                del recover_at[replica_id]
-                retired_reports.append(sessions[replica_id].finish())
-                sessions[replica_id] = self._start_session(lm, replica_id)
-                self._alive[replica_id] = True
-                retry_hist[replica_id].clear()
-                last_retries[replica_id] = 0
-                slow_streak[replica_id] = 0
-                if breakers[replica_id] is not None:
-                    breakers[replica_id].reset()
-                if ladder is not None:
-                    self._apply_brownout(sessions[replica_id], ladder.level)
-                self._set_health(report, replica_id, ReplicaHealth.HEALTHY)
-                report.recovered_replicas.append(replica_id)
-            # 1b. Apply due failures: drain the dead replica's in-flight work.
-            for replica_id, due in sorted(fail_at.items()):
-                if due <= step and self._alive[replica_id]:
-                    self._alive[replica_id] = False
-                    del fail_at[replica_id]
-                    drained = sessions[replica_id].drain()
-                    # A crash gives no chance to checkpoint: attach the
-                    # latest *periodic* checkpoint instead, bounding the
-                    # loss to at most `interval` decode steps (a state
-                    # already carrying one — e.g. a queued migrant — keeps
-                    # its own, which is at least as fresh).
-                    hedge_ids = {flight.hedge_id: rid
-                                 for rid, flight in hedges.items()}
-                    for state in drained:
-                        if state.checkpoint is None:
-                            state.checkpoint = ckpt_stash.get(state.request_id)
-                        if state.request_id in hedge_ids:
-                            # A drained hedge copy dies with its replica —
-                            # the primary is still running, so re-routing
-                            # the duplicate would just double the work.
-                            rid = hedge_ids[state.request_id]
-                            hedges.pop(rid, None)
-                            report.hedge_events.append(
-                                (step, "hedge-lost-replica", rid, replica_id))
-                            continue
-                        requeue.append(state)
-                    if breakers[replica_id] is not None:
-                        breakers[replica_id].reset()
-                    slow_streak[replica_id] = 0
-                    self.router.forget(replica_id)
-                    report.failed_replicas.append(replica_id)
-                    self._set_health(report, replica_id, ReplicaHealth.DOWN)
-                    if replica_id in recover_delay:
-                        recover_at[replica_id] = (
-                            step + recover_delay.pop(replica_id))
-            # 1c. Proactive drain: a DEGRADED replica sheds live requests
-            #     down to max_inflight, checkpoint-migrating each onto a
-            #     HEALTHY replica (queued requests first — they carry no KV
-            #     to move — then decoding, then prefilling ones).
+        while run.has_work():
+            self._rejoin_recovered(run)
+            self._fail_due(run)
             if self.migration.drain_max_inflight is not None:
-                self._drain_degraded(sessions, report)
-            # 1d. Circuit-breaker clock ticks: expire OPEN cooldowns into
-            #     HALF_OPEN and refresh each breaker's probe slot.
-            for i in range(self.n_replicas):
-                if self._alive[i] and breakers[i] is not None:
-                    moved = breakers[i].tick(step)
-                    if moved is not None:
-                        report.breaker_events.append(
-                            (step, i, f"{moved[0]}->{moved[1]}"))
-            # 1e. Brownout ladder: observe cluster KV pressure and queue
-            #     depth, step the degradation level (with hysteresis) and
-            #     push the new rung to every alive replica.
-            if ladder is not None:
-                pressure, queue_depth = self._overload_signals(deferred,
-                                                               requeue)
-                moved = ladder.observe(pressure, queue_depth, step)
-                if moved is not None:
-                    old, new, reason = moved
-                    report.brownout_events.append((step, old, new, reason))
-                    for i in range(self.n_replicas):
-                        if self._alive[i]:
-                            self._apply_brownout(sessions[i], new)
-                elif ladder.level >= 3:
-                    # Decode caps only stick to already-admitted requests;
-                    # re-apply each round so new admissions are capped too.
-                    for i in range(self.n_replicas):
-                        if self._alive[i]:
-                            sessions[i].cap_decodes(
-                                self.brownout.decode_cap,
-                                self.brownout.min_tier)
-                report.brownout_rounds[ladder.level] = (
-                    report.brownout_rounds.get(ladder.level, 0) + 1)
-            # 2. Forward due cancellations to the replicas (a cancelled
-            #    primary takes its hedge duplicate down with it), then
-            #    route: drained requests first (they arrived earliest and
-            #    their ranks still say so), then deferred + fresh arrivals
-            #    through the admission policy.
-            due_cancels = {rid for rid, at in cancel_at.items() if at <= step}
-            for rid in list(due_cancels):
-                flight = hedges.get(rid)
-                if flight is not None:
-                    due_cancels.add(flight.hedge_id)
-            for rid in due_cancels:
-                for i in range(self.n_replicas):
-                    if self._alive[i]:
-                        self.engines[i].cancel(rid)
-            any_alive = any(self._alive)
-            if (not any_alive and (pending or requeue or deferred)
-                    and not recover_at):
-                self._views()  # every replica dead, no recovery due: raise
-            if any_alive:
-                while requeue:
-                    state = requeue.popleft()
-                    if state.request_id in due_cancels:
-                        report.cluster_results.append(self._cluster_result(
-                            state.request, step, "cancelled", state))
-                        continue
-                    target = self._route(state.request)
-                    sessions[target].inject_request(state)
-                    if state.checkpoint is not None:
-                        report.migrated_requests += 1
-                        report.migrated_pages += state.checkpoint.n_pages
-                    report.assignments[state.request_id] = target
-                    report.requeues[state.request_id] = (
-                        report.requeues.get(state.request_id, 0) + 1)
-                # Admission: previously deferred requests first (they keep
-                # their queueing age), then this round's fresh arrivals —
-                # expanded through any active tenant-burst fault so clones
-                # face the policy exactly like organic traffic.
-                candidates = list(deferred)
-                deferred.clear()
-                n_route = (len(pending) if self.arrivals_per_step is None
-                           else min(self.arrivals_per_step, len(pending)))
-                for _ in range(n_route):
-                    request = pending.popleft()
-                    candidates.append(request)
-                    for b_idx, burst in enumerate(bursts):
-                        if burst.tenant != request.tenant \
-                                or not burst.active(step):
-                            continue
-                        made = burst_counts.get(b_idx, 0)
-                        for _k in range(burst.copies):
-                            if burst.limit is not None and made >= burst.limit:
-                                break
-                            clone = replace(
-                                request,
-                                request_id=f"{request.request_id}~b{made}")
-                            made += 1
-                            candidates.append(clone)
-                            seen.add(clone.request_id)
-                        burst_counts[b_idx] = made
-                if admission is not None and candidates:
-                    admission.begin_round(candidates,
-                                          self._admission_context(step))
-                for request in candidates:
-                    rid = request.request_id
-                    if rid in due_cancels:
-                        first_offered.pop(rid, None)
-                        report.cluster_results.append(self._cluster_result(
-                            request, step, "cancelled"))
-                        continue
-                    if admission is None:
-                        decision = AdmissionDecision.ADMIT
-                    else:
-                        waited = step - first_offered.get(rid, step)
-                        if (request.deadline_steps is not None
-                                and waited >= request.deadline_steps):
-                            # Expired while queued: the deadline would fire
-                            # on the replica anyway; fail fast here instead.
-                            first_offered.pop(rid, None)
-                            self._count_tenant(report, request.tenant,
-                                               "timeout")
-                            report.cluster_results.append(
-                                self._cluster_result(request, step,
-                                                     "timeout"))
-                            continue
-                        decision = admission.decide(
-                            request, self._admission_context(step, waited))
-                    if decision is AdmissionDecision.ADMIT:
-                        first_offered.pop(rid, None)
-                        target = self._route(request)
-                        sessions[target].submit([request])
-                        report.assignments[rid] = target
-                        self._count_tenant(report, request.tenant, "admitted")
-                    elif decision is AdmissionDecision.DEFER:
-                        first_offered.setdefault(rid, step)
-                        deferred.append(request)
-                        self._count_tenant(report, request.tenant, "deferred")
-                    else:
-                        first_offered.pop(rid, None)
-                        self._count_tenant(report, request.tenant, "shed")
-                        report.cluster_results.append(self._cluster_result(
-                            request, step, "shed"))
-            # 2b. Hedge launches: a replica whose simulated slowdown has
-            #     exceeded the hedge threshold for `patience` consecutive
-            #     rounds gets its decoding requests duplicated onto the
-            #     least-loaded healthy sibling; first copy to finish wins.
-            if self.hedge is not None and any_alive:
-                for i in range(self.n_replicas):
-                    if not self._alive[i]:
-                        slow_streak[i] = 0
-                        continue
-                    slowdown = (self.faults.slowdown(i, step)
-                                if self.faults is not None else 1.0)
-                    slow_streak[i] = (slow_streak[i] + 1
-                                      if slowdown >= self.hedge.slowdown
-                                      else 0)
-                active = len(hedges)
-                for i in range(self.n_replicas):
-                    if slow_streak[i] < self.hedge.patience:
-                        continue
-                    for state in list(sessions[i].scheduler.running.values()):
-                        if active >= self.hedge.max_concurrent:
-                            break
-                        rid = state.request_id
-                        if (not state.prefill_done or not state.generated
-                                or rid in hedged_ever or rid in hedges
-                                or rid in due_cancels
-                                or rid.endswith(HEDGE_SUFFIX)):
-                            continue
-                        flight = self._launch_hedge(sessions, i, state, step,
-                                                    report)
-                        if flight is None:
-                            break  # no healthy sibling this round
-                        hedges[rid] = flight
-                        hedged_ever.add(rid)
-                        active += 1
-            # 3. One lockstep round: every busy alive replica takes one
-            #    step at the shared cluster clock.  A straggler's simulated
-            #    latency inflates both its own report and the round maximum.
-            round_max = 0.0
-            for i in range(self.n_replicas):
-                if self._alive[i] and sessions[i].has_work():
-                    if (self.faults is not None
-                            and self.faults.stall_skips(i, step)):
-                        continue  # stalled: the replica loses this round
-                    t0 = time.perf_counter()
-                    sessions[i].step(clock=step)
-                    dt = time.perf_counter() - t0
-                    if self.faults is not None:
-                        dt *= self.faults.inflation(i, step)
-                    round_max = max(round_max, dt)
-            # 3b. Periodic checkpoint pass: every `interval` rounds, stash a
-            #     fresh checkpoint of each decoding request.  Rebuilt
-            #     wholesale (not merged) so finished requests drop out and
-            #     the stash never outgrows the live decode set.
-            interval = self.migration.checkpoint_interval
-            if interval is not None and step % interval == interval - 1:
-                ckpt_stash = {}
-                for i in range(self.n_replicas):
-                    if self._alive[i]:
-                        ckpt_stash.update(sessions[i].checkpoint_requests())
-            # 3c. Hedge resolution: the first copy of each hedged pair to
-            #     reach a terminal status wins; the loser is cancelled and
-            #     its KV pages released wherever it sits.  Resolved the same
-            #     round the result appears, so exactly one terminal result
-            #     per original request ever reaches the report.
-            for rid in list(hedges):
-                flight = hedges[rid]
-
-                def _peek(want: str) -> "FunctionalRequestResult | None":
-                    for j in range(self.n_replicas):
-                        if self._alive[j]:
-                            for res in sessions[j].report.results:
-                                if res.request.request_id == want:
-                                    return res
-                    for rep in retired_reports:
-                        for res in rep.results:
-                            if res.request.request_id == want:
-                                return res
-                    return None
-
-                primary_result = _peek(rid)
-                hedge_result = _peek(flight.hedge_id)
-                waste = 0
-                if primary_result is not None \
-                        and primary_result.status == "finished":
-                    waste = self._discard_copy(sessions, retired_reports,
-                                               requeue, flight.hedge_id)
-                    report.hedge_events.append(
-                        (step, "primary-win", rid, flight.src, flight.dst))
-                elif hedge_result is not None \
-                        and hedge_result.status == "finished":
-                    hr = self._take_result(sessions, retired_reports,
-                                           flight.hedge_id)
-                    assert hr is not None
-                    waste = self._discard_copy(sessions, retired_reports,
-                                               requeue, rid)
-                    report.cluster_results.append(FunctionalRequestResult(
-                        request=flight.request,
-                        prompt_tokens=hr.prompt_tokens,
-                        generated_tokens=hr.generated_tokens,
-                        admitted_step=hr.admitted_step,
-                        finished_step=hr.finished_step,
-                        ttft_s=hr.ttft_s,
-                        reused_prefix_tokens=hr.reused_prefix_tokens,
-                        status="finished",
-                        first_token_step=hr.first_token_step,
-                        n_preemptions=hr.n_preemptions,
-                        n_retries=hr.n_retries,
-                        truncated=hr.truncated,
-                        finished_clock=hr.finished_clock))
-                    report.hedge_wins += 1
-                    report.assignments[rid] = flight.dst
-                    report.hedge_events.append(
-                        (step, "hedge-win", rid, flight.src, flight.dst))
-                elif primary_result is not None:
-                    # Primary ended non-finished (cancel/timeout/fail): its
-                    # terminal status stands; the duplicate is torn down.
-                    waste = self._discard_copy(sessions, retired_reports,
-                                               requeue, flight.hedge_id)
-                    report.hedge_events.append(
-                        (step, "primary-terminal", rid,
-                         primary_result.status))
-                elif hedge_result is not None:
-                    # Hedge copy died (crash-retry exhaustion, cancel…):
-                    # drop its result, let the primary run on.  It is never
-                    # re-hedged (`hedged_ever`).
-                    hr = self._take_result(sessions, retired_reports,
-                                           flight.hedge_id)
-                    waste = len(hr.generated_tokens) if hr is not None else 0
-                    report.hedge_events.append(
-                        (step, "hedge-terminal", rid,
-                         hedge_result.status))
-                else:
-                    continue  # both still running
-                if flight.via == "checkpoint":
-                    # Tokens up to the fork were decoded once and cloned,
-                    # not re-decoded — only post-fork duplicates are waste.
-                    waste = max(0, waste - flight.fork_len)
-                report.hedge_waste_tokens += waste
-                del hedges[rid]
-            # 4. Health supervision and circuit breakers from this round's
-            #    outcomes.
-            for i in range(self.n_replicas):
-                if not self._alive[i]:
-                    continue
-                retries_now = sessions[i].report.n_retries
-                delta = retries_now - last_retries[i]
-                retry_hist[i].append(delta)
-                last_retries[i] = retries_now
-                slowdown = (self.faults.slowdown(i, step)
-                            if self.faults is not None else 1.0)
-                degraded = (sum(retry_hist[i]) >= DEGRADE_ERRORS
-                            or slowdown >= DEGRADE_SLOWDOWN)
-                self._set_health(report, i,
-                                 ReplicaHealth.DEGRADED if degraded
-                                 else ReplicaHealth.HEALTHY)
-                if breakers[i] is not None:
-                    moved = breakers[i].record(delta, step)
-                    if moved is not None:
-                        report.breaker_events.append(
-                            (step, i, f"{moved[0]}->{moved[1]}"))
-            report.parallel_wall_s += round_max
-            step += 1
+                self._drain_degraded(run)
+            self._tick_breakers(run)
+            if run.ladder is not None:
+                self._step_brownout(run)
+            self._forward_cancels(run)
+            if any(run.alive):
+                self._route_requeued(run)
+                self._admit_arrivals(run)
+                if self.hedge is not None:
+                    self._launch_hedges(run)
+            elif (run.pending or run.requeue or run.deferred) \
+                    and not run.recover_at:
+                raise RuntimeError(
+                    "every replica has failed with work outstanding")
+            self._step_replicas(run)
+            self._stash_checkpoints(run)
+            self._resolve_hedges(run)
+            self._supervise(run)
+            run.step += 1
             if self.paranoid:
-                self._check_conservation(seen, pending, requeue, deferred,
-                                         report, retired_reports)
-        report.cluster_steps = step
-        report.replica_reports = (retired_reports
-                                  + [session.finish() for session in sessions])
+                self._check_conservation(run)
+        report = run.report
+        report.cluster_steps = run.step
+        report.replica_reports = (run.retired
+                                  + [session.finish() for session in run.sessions])
         report.wall_s = time.perf_counter() - start
         return report
 
-    def _drain_degraded(self, sessions: "list[FunctionalSession]",
-                        report: ClusterReport) -> None:
+    # -- round phases, in the order run() calls them ----------------------
+    def _rejoin_recovered(self, run: _Run) -> None:
+        """Rejoin crashed replicas whose recovery delay has elapsed.
+
+        The crashed session's report is sealed (pre-crash completions
+        survive) and a fresh session starts: new pool, empty radix index,
+        clean health history, the fleet's current brownout rung.
+        """
+        for i in sorted(run.recover_at):
+            if run.recover_at[i] > run.step or run.alive[i]:
+                continue
+            del run.recover_at[i]
+            run.retired.append(run.sessions[i].finish())
+            run.sessions[i] = self._start_session(run.lm, i)
+            run.alive[i] = True
+            run.reset_replica(i)
+            if run.ladder is not None:
+                self._apply_brownout(run.sessions[i], run.ladder.level)
+            run.set_health(i, ReplicaHealth.HEALTHY)
+            run.report.recovered_replicas.append(i)
+
+    def _fail_due(self, run: _Run) -> None:
+        """Kill the replicas whose failure is due and requeue their work.
+
+        A crash gives no chance to checkpoint: each drained state gets the
+        latest *periodic* checkpoint instead, bounding the loss to at most
+        ``interval`` decode steps (a state already carrying one — e.g. a
+        queued migrant — keeps its own, which is at least as fresh).  A
+        drained hedge copy dies with its replica: the primary is still
+        running, so re-routing the duplicate would just double the work.
+        """
+        for i, due in sorted(run.fail_at.items()):
+            if due > run.step or not run.alive[i]:
+                continue
+            run.alive[i] = False
+            del run.fail_at[i]
+            primary_of = {f.hedge_id: rid for rid, f in run.hedges.items()}
+            for state in run.sessions[i].drain():
+                if state.checkpoint is None:
+                    state.checkpoint = run.ckpt_stash.get(state.request_id)
+                rid = primary_of.get(state.request_id)
+                if rid is None:
+                    run.requeue.append(state)
+                    continue
+                run.hedges.pop(rid, None)
+                run.report.hedge_events.append(
+                    (run.step, "hedge-lost-replica", rid, i))
+            run.reset_replica(i)
+            self.router.forget(i)
+            run.report.failed_replicas.append(i)
+            run.set_health(i, ReplicaHealth.DOWN)
+            if i in run.recover_delay:
+                run.recover_at[i] = run.step + run.recover_delay.pop(i)
+
+    def _drain_degraded(self, run: _Run) -> None:
         """One proactive-drain pass over the DEGRADED replicas.
 
         Each DEGRADED replica is drained down to ``max_inflight`` live
@@ -1581,10 +1179,10 @@ class ClusterEngine:
         shuffling load between struggling replicas.
         """
         limit = self.migration.drain_max_inflight
-        for i in range(self.n_replicas):
-            if not self._alive[i] or self._health[i] is not ReplicaHealth.DEGRADED:
+        for i in run.alive_ids():
+            if run.health[i] is not ReplicaHealth.DEGRADED:
                 continue
-            session = sessions[i]
+            session = run.sessions[i]
             excess = session.load_snapshot().n_live - limit
             if excess <= 0:
                 continue
@@ -1596,25 +1194,312 @@ class ClusterEngine:
                           + [s.request_id for s in running if s.prefill_done]
                           + [s.request_id for s in running if not s.prefill_done])
             for rid in candidates[:excess]:
-                healthy = [v for v in self._views()
+                healthy = [v for v in self._views(run)
                            if v.health is ReplicaHealth.HEALTHY]
                 if not healthy:
                     return  # nowhere to drain to this round
                 extracted = session.extract_request(rid)
-                if extracted is None:
-                    continue
-                state, _ = extracted
-                target = self.router.route(state.request, healthy)
-                sessions[target].inject_request(state)
-                if state.checkpoint is not None:
-                    report.migrated_requests += 1
-                    report.migrated_pages += state.checkpoint.n_pages
-                report.assignments[rid] = target
-                report.requeues[rid] = report.requeues.get(rid, 0) + 1
+                if extracted is not None:
+                    state = extracted[0]
+                    run.place(state, self.router.route(state.request, healthy))
 
-    def _check_conservation(self, all_ids: set, pending, requeue, deferred,
-                            report: ClusterReport,
-                            retired_reports: list) -> None:
+    def _tick_breakers(self, run: _Run) -> None:
+        """Expire OPEN breaker cooldowns into HALF_OPEN; refresh probe slots."""
+        for i in run.alive_ids():
+            if run.breakers[i] is not None:
+                run.log_breaker(i, run.breakers[i].tick(run.step))
+
+    def _step_brownout(self, run: _Run) -> None:
+        """Step the brownout ladder on cluster KV pressure and queue depth.
+
+        Pressure is live footprint over bounded capacity across the alive
+        replicas (unbounded pools add none), read from the sessions directly
+        so the ladder still steps while the fleet recovers.  A new rung is
+        pushed to every alive replica; at level 3 the decode caps are
+        re-applied each round, since they only stick to admitted requests.
+        """
+        projected = capacity = 0
+        for i in run.alive_ids():
+            load = run.sessions[i].load_snapshot()
+            if load.capacity_tokens is not None:
+                projected += load.projected_kv_tokens
+                capacity += load.capacity_tokens
+        ladder, cfg = run.ladder, self.brownout
+        moved = ladder.observe(projected / capacity if capacity else 0.0,
+                               len(run.deferred) + len(run.requeue), run.step)
+        if moved is not None:
+            run.report.brownout_events.append((run.step, *moved))
+            for i in run.alive_ids():
+                self._apply_brownout(run.sessions[i], ladder.level)
+        elif ladder.level >= 3:
+            for i in run.alive_ids():
+                run.sessions[i].cap_decodes(cfg.decode_cap, cfg.min_tier)
+        rounds = run.report.brownout_rounds
+        rounds[ladder.level] = rounds.get(ladder.level, 0) + 1
+
+    def _forward_cancels(self, run: _Run) -> None:
+        """Forward this round's due cancellations to the replicas; a
+        cancelled primary takes its hedge duplicate down with it."""
+        due = {rid for rid, at in run.cancel_at.items() if at <= run.step}
+        run.due_cancels = due | {run.hedges[rid].hedge_id
+                                 for rid in due if rid in run.hedges}
+        for rid in run.due_cancels:
+            for i in run.alive_ids():
+                self.engines[i].cancel(rid)
+
+    def _route_requeued(self, run: _Run) -> None:
+        """Re-route drained requests first: they arrived earliest and their
+        ranks still say so."""
+        while run.requeue:
+            state = run.requeue.popleft()
+            if state.request_id in run.due_cancels:
+                run.terminate(state.request, "cancelled", state)
+            else:
+                run.place(state, self._route(run, state.request))
+
+    def _admit_arrivals(self, run: _Run) -> None:
+        """Offer deferred requests, then this round's arrivals, to admission.
+
+        Deferred requests go first (they keep their queueing age).  Fresh
+        arrivals are expanded through any active tenant-burst fault, so
+        clones face the policy exactly like organic traffic.  ADMIT routes
+        now, DEFER re-offers next round, and SHED — or a deadline that
+        expired while queued — terminates at the cluster layer.
+        """
+        candidates = list(run.deferred)
+        run.deferred.clear()
+        n_route = (len(run.pending) if self.arrivals_per_step is None
+                   else min(self.arrivals_per_step, len(run.pending)))
+        bursts = self.faults.bursts if self.faults is not None else ()
+        for _ in range(n_route):
+            request = run.pending.popleft()
+            candidates.append(request)
+            for b_idx, burst in enumerate(bursts):
+                if burst.tenant != request.tenant or not burst.active(run.step):
+                    continue
+                for _k in range(burst.copies):
+                    made = run.burst_counts.get(b_idx, 0)
+                    if burst.limit is not None and made >= burst.limit:
+                        break
+                    run.burst_counts[b_idx] = made + 1
+                    candidates.append(replace(
+                        request, request_id=f"{request.request_id}~b{made}"))
+                    run.seen.add(candidates[-1].request_id)
+        admission = run.admission
+        if admission is not None and candidates:
+            admission.begin_round(candidates, self._admission_context(run))
+        for request in candidates:
+            rid = request.request_id
+            waited = run.step - run.first_offered.get(rid, run.step)
+            if rid in run.due_cancels:
+                outcome = "cancelled"
+            elif admission is None:
+                outcome = "admitted"
+            elif (request.deadline_steps is not None
+                  and waited >= request.deadline_steps):
+                # Expired while queued: the deadline would fire on the
+                # replica anyway; fail fast here instead.
+                outcome = "timeout"
+            else:
+                outcome = _ADMISSION_OUTCOMES[admission.decide(
+                    request, self._admission_context(run, waited))]
+            if outcome == "deferred":
+                run.first_offered.setdefault(rid, run.step)
+                run.deferred.append(request)
+            else:
+                run.first_offered.pop(rid, None)
+            if outcome != "cancelled":
+                run.count_tenant(request.tenant, outcome)
+            if outcome == "admitted":
+                target = self._route(run, request)
+                run.sessions[target].submit([request])
+                run.report.assignments[rid] = target
+            elif outcome != "deferred":
+                run.terminate(request, outcome)
+
+    def _launch_hedges(self, run: _Run) -> None:
+        """Duplicate the decoding requests of persistently slow replicas.
+
+        A replica whose simulated slowdown has reached the hedge threshold
+        for ``patience`` consecutive rounds gets its decoding requests
+        copied onto the least-loaded healthy sibling; first copy to finish
+        wins.  A request is hedged at most once.
+        """
+        hedge = self.hedge
+        for i in range(self.n_replicas):
+            slow = run.alive[i] and self._slowdown(i, run.step) >= hedge.slowdown
+            run.slow_streak[i] = run.slow_streak[i] + 1 if slow else 0
+            if run.slow_streak[i] < hedge.patience:
+                continue
+            for state in list(run.sessions[i].scheduler.running.values()):
+                if len(run.hedges) >= hedge.max_concurrent:
+                    break
+                rid = state.request_id
+                if (not state.prefill_done or not state.generated
+                        or rid in run.hedged_ever or rid in run.due_cancels
+                        or rid.endswith(HEDGE_SUFFIX)):
+                    continue
+                if not self._launch_hedge(run, i, state):
+                    break  # no healthy sibling this round
+
+    def _launch_hedge(self, run: _Run, src: int, state: "SequenceState") -> bool:
+        """Duplicate one straggling decode onto the best healthy replica.
+
+        KV-checkpoint-seeded when the source cache supports it (the copy
+        resumes decoding with zero recompute), full-recompute otherwise.
+        Returns False when no healthy, breaker-closed sibling exists.
+        """
+        views = [v for v in self._views(run)
+                 if v.replica_id != src and v.health is ReplicaHealth.HEALTHY
+                 and not v.breaker_open]
+        if not views:
+            return False
+        dst = min(views, key=LeastLoadedRouter.pressure).replica_id
+        request = state.request
+        hedge_id = request.request_id + HEDGE_SUFFIX
+        ckpt = run.sessions[src].kv.checkpoint(state)
+        if ckpt is not None:
+            ckpt = replace(ckpt, request_id=hedge_id)
+        run.sessions[dst].inject_request(SequenceState(
+            request=replace(request, request_id=hedge_id),
+            prompt=list(state.prompt), generated=list(state.generated),
+            decode_cap=state.decode_cap, checkpoint=ckpt))
+        via = "checkpoint" if ckpt is not None else "recompute"
+        run.report.n_hedges += 1
+        run.report.assignments[hedge_id] = dst
+        run.report.hedge_events.append(
+            (run.step, "launch", request.request_id, src, dst, via))
+        run.hedges[request.request_id] = _HedgeFlight(
+            request=request, hedge_id=hedge_id, src=src, dst=dst,
+            launched=run.step, fork_len=len(state.generated), via=via)
+        run.hedged_ever.add(request.request_id)
+        return True
+
+    def _step_replicas(self, run: _Run) -> None:
+        """One lockstep round: every busy alive replica steps once at the
+        shared cluster clock.  A straggler's simulated latency inflates both
+        its own report and the round maximum (the parallel makespan)."""
+        round_max = 0.0
+        for i in run.alive_ids():
+            session = run.sessions[i]
+            if not session.has_work():
+                continue
+            if self.faults is not None and self.faults.stall_skips(i, run.step):
+                continue  # stalled: the replica loses this round
+            t0 = time.perf_counter()
+            session.step(clock=run.step)
+            dt = time.perf_counter() - t0
+            if self.faults is not None:
+                dt *= self.faults.inflation(i, run.step)
+            round_max = max(round_max, dt)
+        run.report.parallel_wall_s += round_max
+
+    def _stash_checkpoints(self, run: _Run) -> None:
+        """Every ``interval`` rounds, stash a fresh checkpoint of each
+        decoding request.  Rebuilt wholesale (not merged) so finished
+        requests drop out and the stash never outgrows the live decode set."""
+        interval = self.migration.checkpoint_interval
+        if interval is None or run.step % interval != interval - 1:
+            return
+        run.ckpt_stash = {}
+        for i in run.alive_ids():
+            run.ckpt_stash.update(run.sessions[i].checkpoint_requests())
+
+    def _resolve_hedges(self, run: _Run) -> None:
+        """Settle each hedged pair once either copy reaches a terminal status.
+
+        A finished primary wins outright; otherwise a finished copy wins and
+        its result stands in for the primary's.  Either way the loser is
+        cancelled and its KV pages released wherever it sits.  A copy that
+        ended non-finished is dropped and the primary runs on (never
+        re-hedged).  Resolved the same round the result appears, so exactly
+        one terminal result per original request ever reaches the report.
+        """
+        report = run.report
+        for rid, flight in list(run.hedges.items()):
+            primary = self._find_result(run, rid)
+            copy = self._find_result(run, flight.hedge_id)
+            if primary is not None and primary.status == "finished":
+                event = ("primary-win", flight.src, flight.dst)
+            elif copy is not None and copy.status == "finished":
+                event = ("hedge-win", flight.src, flight.dst)
+            elif primary is not None:
+                event = ("primary-terminal", primary.status)
+            elif copy is not None:
+                event = ("hedge-terminal", copy.status)
+            else:
+                continue  # both still running
+            if event[0] == "hedge-win":
+                self._find_result(run, flight.hedge_id, take=True)
+                waste = self._discard_copy(run, rid)
+                report.cluster_results.append(
+                    replace(copy, request=flight.request))
+                report.hedge_wins += 1
+                report.assignments[rid] = flight.dst
+            else:
+                waste = self._discard_copy(run, flight.hedge_id)
+            report.hedge_events.append((run.step, event[0], rid, *event[1:]))
+            if flight.via == "checkpoint":
+                # Tokens up to the fork were decoded once and cloned, not
+                # re-decoded — only post-fork duplicates are waste.
+                waste = max(0, waste - flight.fork_len)
+            report.hedge_waste_tokens += waste
+            del run.hedges[rid]
+
+    def _find_result(self, run: _Run, rid: str, take: bool = False,
+                     ) -> FunctionalRequestResult | None:
+        """``rid``'s terminal result on an alive replica or in a retired
+        report, removed from there when ``take`` (``None`` if none yet)."""
+        for i in run.alive_ids():
+            session = run.sessions[i]
+            for result in session.report.results:
+                if result.request.request_id == rid:
+                    return session.harvest_result(rid) if take else result
+        for rep in run.retired:
+            for idx, result in enumerate(rep.results):
+                if result.request.request_id == rid:
+                    return rep.results.pop(idx) if take else result
+        return None
+
+    def _discard_copy(self, run: _Run, rid: str) -> int:
+        """Cancel the losing copy of a hedged pair; returns its decoded tokens.
+
+        The copy may have already finished (take its result), still be live
+        on a replica (extract — releases its KV pages), or be sitting in the
+        requeue after its replica crashed (drop it there).
+        """
+        result = self._find_result(run, rid, take=True)
+        if result is not None:
+            return len(result.generated_tokens)
+        for i in run.alive_ids():
+            extracted = run.sessions[i].extract_request(rid)
+            if extracted is not None:
+                return len(extracted[0].generated)
+        for idx, state in enumerate(run.requeue):
+            if state.request_id == rid:
+                del run.requeue[idx]
+                return len(state.generated)
+        return 0
+
+    def _supervise(self, run: _Run) -> None:
+        """Health supervision and circuit breakers from this round's outcomes.
+
+        Retries inside the sliding window or an active straggler slowdown
+        demote a replica to DEGRADED; a clean window restores HEALTHY.
+        """
+        for i in run.alive_ids():
+            retries = run.sessions[i].report.n_retries
+            delta = retries - run.last_retries[i]
+            run.retry_hist[i].append(delta)
+            run.last_retries[i] = retries
+            degraded = (sum(run.retry_hist[i]) >= DEGRADE_ERRORS
+                        or self._slowdown(i, run.step) >= DEGRADE_SLOWDOWN)
+            run.set_health(i, ReplicaHealth.DEGRADED if degraded
+                           else ReplicaHealth.HEALTHY)
+            if run.breakers[i] is not None:
+                run.log_breaker(i, run.breakers[i].record(delta, run.step))
+
+    def _check_conservation(self, run: _Run) -> None:
         """Assert every submitted request is tracked exactly once.
 
         Conservation of requests across the whole cluster: each request must
@@ -1622,32 +1507,20 @@ class ClusterEngine:
         replica, or terminal in exactly one report (replica, retired
         pre-crash, or cluster-level shed/timeout/cancel) — never lost, never
         duplicated.  Hedge duplicates (``~hedge`` ids) are transient and not
-        in ``all_ids``; the duplicate check still covers them.
+        in ``run.seen``; the duplicate check still covers them.
         """
-        counts: dict[str, int] = {}
-
-        def see(request_id: str) -> None:
-            counts[request_id] = counts.get(request_id, 0) + 1
-
-        for request in pending:
-            see(request.request_id)
-        for request in deferred:
-            see(request.request_id)
-        for state in requeue:
-            see(state.request_id)
-        for result in report.cluster_results:
-            see(result.request.request_id)
-        for rep in retired_reports:
-            for result in rep.results:
-                see(result.request.request_id)
-        for session in self._sessions:
-            for state in session.scheduler.live_states():
-                see(state.request_id)
-            for result in session.report.results:
-                see(result.request.request_id)
+        live = [*run.pending, *run.deferred, *run.requeue]
+        results = list(run.report.cluster_results)
+        for rep in run.retired:
+            results += rep.results
+        for session in run.sessions:
+            live += session.scheduler.live_states()
+            results += session.report.results
+        counts = Counter([item.request_id for item in live]
+                         + [result.request.request_id for result in results])
         duplicated = sorted(rid for rid, n in counts.items() if n > 1)
         assert not duplicated, f"requests tracked twice: {duplicated}"
-        missing = sorted(all_ids - counts.keys())
+        missing = sorted(run.seen - counts.keys())
         assert not missing, f"requests lost: {missing}"
 
 

@@ -400,8 +400,88 @@ class LoadSnapshot:
         return self.n_queued + self.n_running
 
 
+class _ResultStats:
+    """Status counts, token totals and TTFT statistics over ``self.results``.
+
+    One implementation for the single-engine and the cluster report, so
+    both aggregate a run from its terminal results the same way.
+    """
+
+    def _n_status(self, status: str) -> int:
+        return sum(1 for r in self.results if r.status == status)
+
+    @property
+    def n_requests(self) -> int:
+        return len(self.results)
+
+    @property
+    def n_cancelled(self) -> int:
+        return self._n_status("cancelled")
+
+    @property
+    def n_timeouts(self) -> int:
+        return self._n_status("timeout")
+
+    @property
+    def n_failed(self) -> int:
+        return self._n_status("failed")
+
+    @property
+    def n_truncated(self) -> int:
+        """Requests finished early under a brownout decode cap."""
+        return sum(1 for r in self.results if r.truncated)
+
+    @property
+    def total_decode_tokens(self) -> int:
+        return sum(r.tokens_generated for r in self.results)
+
+    @property
+    def total_prompt_tokens(self) -> int:
+        return sum(len(r.prompt_tokens) for r in self.results)
+
+    @property
+    def reused_prefix_tokens(self) -> int:
+        """Prompt tokens served from radix prefix caches across all requests."""
+        return sum(r.reused_prefix_tokens for r in self.results)
+
+    def _ttft_values(self) -> list[float]:
+        """TTFT samples of requests that actually produced a first token
+        (a request cancelled before its first token has no TTFT)."""
+        return [r.ttft_s for r in self.results if r.first_token_step >= 0]
+
+    @property
+    def mean_ttft_s(self) -> float:
+        values = self._ttft_values()
+        return float(np.mean(values)) if values else 0.0
+
+    def ttft_percentile_s(self, percentile: float) -> float:
+        """Time-to-first-token percentile across requests (e.g. 99 for p99)."""
+        values = self._ttft_values()
+        return float(np.percentile(values, percentile)) if values else 0.0
+
+    def _common_lines(self, step_latencies_s) -> list[str]:
+        """The TTFT, step-latency and prefix-reuse summary lines.
+
+        Each latency series is sorted once; every percentile derives from
+        the sorted array instead of re-sorting inside ``np.percentile``.
+        """
+        ttft_p50, ttft_p99 = _percentiles_from_sorted(
+            np.sort(self._ttft_values()), (50, 99))
+        step_p50, step_p99 = _percentiles_from_sorted(
+            np.sort(step_latencies_s), (50, 99))
+        reused, prompts = self.reused_prefix_tokens, self.total_prompt_tokens
+        return [
+            f"  TTFT           mean {self.mean_ttft_s * 1e3:8.2f} ms | "
+            f"p50 {ttft_p50 * 1e3:8.2f} ms | p99 {ttft_p99 * 1e3:8.2f} ms",
+            f"  step latency   p50  {step_p50 * 1e3:8.2f} ms | "
+            f"p99 {step_p99 * 1e3:8.2f} ms",
+            f"  prefix reuse   {reused} / {prompts} prompt tokens "
+            f"({100.0 * reused / max(prompts, 1):.1f}%)",
+        ]
+
+
 @dataclass
-class FunctionalServingReport:
+class FunctionalServingReport(_ResultStats):
     """Aggregate outcome of one :meth:`ServingEngine.run_functional` call.
 
     Unlike :class:`ServingReport` (analytical latency/energy model), every
@@ -437,63 +517,10 @@ class FunctionalServingReport:
     recompute_tokens_saved: int = 0
 
     @property
-    def n_requests(self) -> int:
-        return len(self.results)
-
-    @property
-    def n_cancelled(self) -> int:
-        return sum(1 for r in self.results if r.cancelled)
-
-    @property
-    def n_timeouts(self) -> int:
-        return sum(1 for r in self.results if r.status == "timeout")
-
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for r in self.results if r.status == "failed")
-
-    @property
-    def n_truncated(self) -> int:
-        """Requests finished early under a brownout decode cap."""
-        return sum(1 for r in self.results if r.truncated)
-
-    @property
-    def total_decode_tokens(self) -> int:
-        return sum(r.tokens_generated for r in self.results)
-
-    @property
-    def total_prompt_tokens(self) -> int:
-        return sum(len(r.prompt_tokens) for r in self.results)
-
-    @property
-    def reused_prefix_tokens(self) -> int:
-        """Prompt tokens served from the radix prefix cache across all requests."""
-        return sum(r.reused_prefix_tokens for r in self.results)
-
-    @property
     def decode_tokens_per_s(self) -> float:
         if self.wall_s <= 0:
             return 0.0
         return self.total_decode_tokens / self.wall_s
-
-    def _ttft_values(self) -> list[float]:
-        """TTFT samples of requests that actually produced a first token
-        (a request cancelled before its first token has no TTFT)."""
-        return [r.ttft_s for r in self.results if r.first_token_step >= 0]
-
-    @property
-    def mean_ttft_s(self) -> float:
-        values = self._ttft_values()
-        if not values:
-            return 0.0
-        return float(np.mean(values))
-
-    def ttft_percentile_s(self, percentile: float) -> float:
-        """Time-to-first-token percentile across requests (e.g. 99 for p99)."""
-        values = self._ttft_values()
-        if not values:
-            return 0.0
-        return float(np.percentile(values, percentile))
 
     def step_latency_percentile_s(self, percentile: float) -> float:
         """Engine-step wall-latency percentile (e.g. 50/99 for p50/p99)."""
@@ -510,26 +537,12 @@ class FunctionalServingReport:
 
     def summary(self) -> str:
         """Human-readable multi-line summary of the functional run."""
-        reused = self.reused_prefix_tokens
-        prompt_tokens = self.total_prompt_tokens
-        # Sort each latency series once; every percentile derives from the
-        # sorted array instead of re-sorting inside np.percentile per call.
-        ttft_sorted = np.sort(self._ttft_values())
-        ttft_p50, ttft_p99 = _percentiles_from_sorted(ttft_sorted, (50, 99))
-        step_sorted = np.sort(self.step_latencies_s)
-        step_p50, step_p99 = _percentiles_from_sorted(step_sorted, (50, 99))
         lines = [
             f"FunctionalServingReport: {self.n_requests} requests on {self.model_name} "
             f"(<= {self.max_concurrency} concurrent, peak batch {self.peak_batch}): "
             f"{self.total_decode_tokens} tokens decoded in {self.wall_s:.2f} s "
             f"({self.decode_tokens_per_s:.1f} tok/s, {self.n_steps} batched steps)",
-            f"  TTFT           mean {self.mean_ttft_s * 1e3:8.2f} ms | "
-            f"p50 {ttft_p50 * 1e3:8.2f} ms | "
-            f"p99 {ttft_p99 * 1e3:8.2f} ms",
-            f"  step latency   p50  {step_p50 * 1e3:8.2f} ms | "
-            f"p99 {step_p99 * 1e3:8.2f} ms",
-            f"  prefix reuse   {reused} / {prompt_tokens} prompt tokens "
-            f"({100.0 * reused / max(prompt_tokens, 1):.1f}%)",
+            *self._common_lines(self.step_latencies_s),
         ]
         if self.drafter is not None:
             lines.append(
@@ -661,10 +674,13 @@ class ServingEngine:
                 report.results.append(self._result(state, step))
 
     @staticmethod
-    def _result(state: SequenceState, step: int) -> FunctionalRequestResult:
-        terminal = state.phase.value
-        status = (terminal if terminal in ("cancelled", "timeout", "failed")
-                  else "finished")
+    def _result(state: SequenceState, step: int,
+                status: str | None = None) -> FunctionalRequestResult:
+        """``state``'s terminal result; ``status`` overrides its phase."""
+        if status is None:
+            terminal = state.phase.value
+            status = (terminal if terminal in ("cancelled", "timeout", "failed")
+                      else "finished")
         return FunctionalRequestResult(
             request=state.request,
             prompt_tokens=state.prompt,

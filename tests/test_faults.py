@@ -413,8 +413,8 @@ class TestClusterChaos:
         assert _outcome(plain) == _outcome(armed)
 
     def test_load_shedding_is_explicit_and_total(self, lm):
-        report = self._cluster(shed_threshold=0.25, paranoid=True).run(
-            lm, self._trace(16))
+        report = self._cluster(admission="kv-pressure:threshold=0.25",
+                               paranoid=True).run(lm, self._trace(16))
         assert report.n_shed > 0
         assert len(report.results) == 16  # shed requests still get results
         shed = [r for r in report.results if r.status == "shed"]

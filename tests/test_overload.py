@@ -86,10 +86,10 @@ class TestAdmissionRegistry:
 
     def test_resolve_admission_helper(self):
         assert resolve_admission(None) is None
-        legacy = resolve_admission(None, shed_threshold=0.5)
+        legacy = resolve_admission("kv-pressure:threshold=0.5")
         assert isinstance(legacy, KVPressureAdmission)
-        composed = resolve_admission("token-bucket:rate=8",
-                                     shed_threshold=0.5)
+        composed = resolve_admission(["token-bucket:rate=8",
+                                      "kv-pressure:threshold=0.5"])
         assert isinstance(composed, CompositeAdmission)
         listed = resolve_admission(["token-bucket:rate=8", "kv-pressure"])
         assert isinstance(listed, CompositeAdmission)
@@ -327,10 +327,10 @@ class TestClusterAdmission:
         assert gain > 1.0
         assert admitted.tenant_admission["t2"]["deferred"] > 0
 
-    def test_legacy_shed_threshold_still_sheds(self, lm):
+    def test_kv_pressure_admission_sheds(self, lm):
         requests = multi_tenant_requests(2, 8, prompt_len=24, decode_len=6,
                                          vocab_size=48, seed=3)
-        report = self._cluster(shed_threshold=0.25,
+        report = self._cluster(admission="kv-pressure:threshold=0.25",
                                capacity_tokens=512).run(lm, requests)
         assert report.n_shed > 0
         assert len(report.results) == len(requests)
@@ -409,6 +409,20 @@ class TestHedgedRequests:
         assert kinds == ["launch", "hedge-win"]
         assert hedged.hedge_events[0][5] == "checkpoint"
         assert "hedging" in hedged.summary()
+
+    def test_hedge_win_counts_in_report_totals(self, lm):
+        request = _request("r0", self.PROMPT, decode_len=24)
+        unhedged = self._cluster(hedge=None).run(lm, [request])
+        hedged = self._cluster().run(lm, [request])
+        assert hedged.hedge_wins == 1
+        # The winning copy's result moves into cluster_results; the totals
+        # must still see it, exactly as they see the unhedged run's result.
+        assert unhedged.total_decode_tokens == 24
+        assert hedged.total_decode_tokens == 24
+        assert hedged.total_prompt_tokens == unhedged.total_prompt_tokens
+        assert hedged.total_prompt_tokens == len(self.PROMPT)
+        assert hedged.decode_tokens_per_s > 0
+        assert hedged.n_requests == 1 and hedged.completed_fraction == 1.0
 
     def test_cancel_while_hedged_exactly_one_terminal(self, lm):
         request = _request("r0", self.PROMPT, decode_len=24)
